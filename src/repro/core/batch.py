@@ -2,10 +2,11 @@
 
 Section 7 of the paper averages every data point over 1000 independent
 trials.  The dense path replays them one at a time, paying a full
-``lexsort`` partition plus dozens of small-array NumPy calls per round
-per trial.  This module runs ``B`` homogeneous trials in one process on
-stacked arrays of shape ``(B, m)`` so each round's work is a handful of
-large-array operations shared by every live trial.
+``lexsort`` partition (on every round that finds a resource overloaded)
+plus dozens of small-array NumPy calls per round per trial.  This
+module runs ``B`` homogeneous trials in one process on stacked arrays
+of shape ``(B, m)`` so each round's work is a handful of large-array
+operations shared by every live trial.
 
 Two ideas make this fast *and* bit-for-bit identical to the dense path:
 
@@ -36,6 +37,22 @@ The per-round float reductions mirror the dense operations bit for bit
 calls), so ``rounds``, ``final_loads`` and migration totals are
 reproduced exactly — property-tested in
 ``tests/properties/test_backend_equivalence.py``.
+
+**Overload-gated rounds.**  Only tasks on overloaded resources ever
+move: Algorithm 5.1 ejects cutting/above tasks only where ``x_r > c_r``,
+and Algorithm 6.1's migration probability is zero everywhere else.  So
+both kernels first compute the round's load matrix and overload mask;
+when no row has an overloaded resource they return before reading the
+stack order (:meth:`BatchState.sorted_heights`), with each row's idle
+statistics: no movers, zero moved weight, zero potential, the loads
+carried over, nothing drawn.  Otherwise they partition the overloaded
+resources' stack segments only (:func:`_overloaded_segments`, shared by
+both kernels).  The gate is exact, because the full partition of a
+resource that is not overloaded yields no mover, no draw and
+``phi_r = 0``; ``tests/properties/test_idle_round_equivalence.py`` pins
+the gated round to the full path bit for bit, and the dense protocols'
+``step`` applies the same gate through
+:meth:`~repro.core.state.SystemState.load_profile`.
 
 Resource speeds (the heterogeneous extension, see
 :mod:`repro.core.thresholds`) are per-trial *state*, not protocol
@@ -1244,31 +1261,44 @@ class BatchedBackend(SimulationBackend):
 # ----------------------------------------------------------------------
 # Vectorised kernels (called from the protocol step_batch overrides)
 # ----------------------------------------------------------------------
-def user_step_batch(
-    proto: UserControlledProtocol,
-    batch: BatchState,
-    rngs: list[np.random.Generator],
-) -> BatchStepStats:
-    """One vectorised user-controlled round for every trial in ``batch``.
+@dataclass
+class _Segments:
+    """The stack segments of every overloaded resource in a batch.
 
-    Mirrors ``UserControlledProtocol.step`` per trial: only tasks on
-    overloaded resources can move, so the stack partition is evaluated
-    on those resources' segments alone; the per-task uniforms, the
-    destination draw and the arrival permutation come from each trial's
-    own generator in the dense order.
+    ``ov_t`` / ``ov_r`` list the overloaded (trial row, resource) pairs
+    in row-major order and ``seg_len`` their task counts; ``pos`` holds
+    the stack-order positions of those tasks, ascending (grouped by
+    trial, then resource, then height), with their weights in ``w_sub``
+    and the below mask in ``below``; ``phi`` is each segment's
+    potential ``phi_r``.
     """
-    A, n, m = batch.A, batch.n, batch.m
-    w_s, cum = batch.sorted_heights()
-    loads = batch.fresh_loads()
-    overloaded = loads > batch.bound
 
+    ov_t: np.ndarray
+    ov_r: np.ndarray
+    seg_len: np.ndarray
+    pos: np.ndarray
+    w_sub: np.ndarray
+    below: np.ndarray
+    phi: np.ndarray
+
+
+def _overloaded_segments(
+    batch: BatchState, loads: np.ndarray, overloaded: np.ndarray
+) -> _Segments:
+    """Partition the overloaded resources' stacks, and only those.
+
+    Heights are computed exactly as the dense partition computes them
+    (running row sum minus the weight below the segment), and
+    ``below_weight`` accumulates each segment in stack order like the
+    dense ``bincount``, so ``phi`` matches it bit for bit.
+    """
+    m = batch.m
+    w_s, cum = batch.sorted_heights()
     ov_t, ov_r = np.nonzero(overloaded)
     seg_len = batch.counts[ov_t, ov_r]
     seg_start = batch.indptr()[ov_t, ov_r]
     start_abs = ov_t * m + seg_start
 
-    # Heights of the overloaded segments, exactly as the dense partition
-    # computes them: running row sum minus the weight below the segment.
     pos = np.repeat(start_abs, seg_len) + _segmented_arange(seg_len)
     cum_flat = cum.ravel()
     base_seg = np.where(seg_start > 0, cum_flat[start_abs - 1], 0.0)
@@ -1280,18 +1310,71 @@ def user_step_batch(
     below_weight = np.bincount(
         seg_id[below], weights=w_sub[below], minlength=ov_t.shape[0]
     )
-    phi_seg = np.maximum(loads[ov_t, ov_r] - below_weight, 0.0)
-    if batch.record_stats:
-        max_load_before = loads.max(axis=1)
-        overloaded_before = overloaded.sum(axis=1)
-        # Rebuild the dense per-resource phi row so the potential
-        # reduces in the same order (zeros included) as the dense
-        # ``phi.sum()``.
-        phi = np.zeros((A, n))
-        phi[ov_t, ov_r] = phi_seg
-        potential_before = phi.sum(axis=1)
-    else:
-        max_load_before = overloaded_before = potential_before = None
+    phi = np.maximum(loads[ov_t, ov_r] - below_weight, 0.0)
+    return _Segments(ov_t, ov_r, seg_len, pos, w_sub, below, phi)
+
+
+def _stats_before(
+    batch: BatchState,
+    loads: np.ndarray,
+    overloaded: np.ndarray,
+    seg: _Segments | None,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """``(overloaded_before, potential_before, max_load_before)`` for
+    traces, or three ``None`` when the batch records no stats."""
+    if not batch.record_stats:
+        return None, None, None
+    # Rebuild the dense per-resource phi row so the potential reduces in
+    # the same order (zeros included, n addends) as the dense
+    # ``phi.sum()``.
+    phi = np.zeros((batch.A, batch.n))
+    if seg is not None:
+        phi[seg.ov_t, seg.ov_r] = seg.phi
+    return overloaded.sum(axis=1), phi.sum(axis=1), loads.max(axis=1)
+
+
+def _idle_round(
+    batch: BatchState, loads: np.ndarray, overloaded: np.ndarray
+) -> BatchStepStats:
+    """Per row, the dense :meth:`StepStats.idle`: no row has an
+    overloaded resource, so nothing moves and nothing is drawn."""
+    A = batch.A
+    ov_before, pot_before, max_before = _stats_before(
+        batch, loads, overloaded, None
+    )
+    return BatchStepStats(
+        movers=np.zeros(A, dtype=np.int64),
+        moved_weight=np.zeros(A),
+        overloaded_before=ov_before,
+        potential_before=pot_before,
+        max_load_before=max_before,
+        loads_after=loads,
+    )
+
+
+def user_step_batch(
+    proto: UserControlledProtocol,
+    batch: BatchState,
+    rngs: list[np.random.Generator],
+) -> BatchStepStats:
+    """One vectorised user-controlled round for every trial in ``batch``.
+
+    Mirrors ``UserControlledProtocol.step`` per trial: only tasks on
+    overloaded resources can move, so the stack partition is evaluated
+    on those resources' segments alone, and a round in which no row has
+    an overloaded resource returns before the stack order is even read;
+    the per-task uniforms, the destination draw and the arrival
+    permutation come from each trial's own generator in the dense order.
+    """
+    A, n, m = batch.A, batch.n, batch.m
+    loads = batch.fresh_loads()
+    overloaded = loads > batch.bound
+    if not overloaded.any():
+        return _idle_round(batch, loads, overloaded)
+    seg = _overloaded_segments(batch, loads, overloaded)
+    overloaded_before, potential_before, max_load_before = _stats_before(
+        batch, loads, overloaded, seg
+    )
 
     # Per-resource migration probability, on overloaded segments only
     # (it is zero everywhere else).
@@ -1300,8 +1383,10 @@ def user_step_batch(
         if proto.wmax_estimate is not None
         else batch.wmax
     )
-    lots = _ceil_lots(phi_seg, wmax[ov_t])
-    p_seg = np.clip(proto.alpha * lots / np.maximum(seg_len, 1), 0.0, 1.0)
+    lots = _ceil_lots(seg.phi, wmax[seg.ov_t])
+    p_seg = np.clip(
+        proto.alpha * lots / np.maximum(seg.seg_len, 1), 0.0, 1.0
+    )
 
     # Per-trial draws in the dense order.  A trial with no overloaded
     # resource draws nothing (the dense step returns before sampling).
@@ -1318,8 +1403,9 @@ def user_step_batch(
         for row in np.flatnonzero(has_ov):
             rngs[row].random(out=u[row])
 
+    pos = seg.pos
     sub_task = batch.order[pos]  # absolute slots of candidate tasks
-    mover_mask = u.ravel()[sub_task] < np.repeat(p_seg, seg_len)
+    mover_mask = u.ravel()[sub_task] < np.repeat(p_seg, seg.seg_len)
     cand_abs = sub_task[mover_mask]
     # The dense step lists movers in ascending task order per trial
     # (``flatnonzero``); absolute slots sort to exactly that.
@@ -1393,52 +1479,31 @@ def resource_step_batch(
 ) -> BatchStepStats:
     """One vectorised resource-controlled round for every trial.
 
-    Algorithm 5.1 ejects *every* cutting/above task, so this kernel
-    evaluates the full below mask (heights across all resources) and
-    walks each trial's movers with that trial's generator, in the dense
-    order (stack order, one walk step, one arrival permutation).
+    Algorithm 5.1 ejects every cutting/above task of every *overloaded*
+    resource, so this kernel evaluates the below mask on those
+    resources' segments only (shared with :func:`user_step_batch`),
+    returns early when no row has an overloaded resource, and walks each
+    trial's movers with that trial's generator, in the dense order
+    (stack order, one walk step, one arrival permutation).
     """
-    A, n, m = batch.A, batch.n, batch.m
-    w_s, cum = batch.sorted_heights()
+    A, m = batch.A, batch.m
     loads = batch.fresh_loads()
     overloaded = loads > batch.bound
-
-    stride = batch.stride
-    key_flat = batch.key_task.ravel()
-    key_s = key_flat[batch.order]
-    trial_s = key_s // stride
-    start_local = batch.indptr().ravel()[key_s + trial_s]
-    cum_flat = cum.ravel()
-    base = np.where(
-        start_local > 0, cum_flat[trial_s * m + start_local - 1], 0.0
+    if not overloaded.any():
+        return _idle_round(batch, loads, overloaded)
+    seg = _overloaded_segments(batch, loads, overloaded)
+    overloaded_before, potential_before, max_load_before = _stats_before(
+        batch, loads, overloaded, seg
     )
-    inclusive = cum_flat - base
-    # parked slots compare 0.0 <= inf, so they are always "below" and
-    # never move
-    below = inclusive <= batch.bound.ravel()[key_s]
 
-    if batch.record_stats:
-        max_load_before = loads.max(axis=1)
-        overloaded_before = overloaded.sum(axis=1)
-        below_weight = np.bincount(
-            key_s[below], weights=w_s[below], minlength=A * stride
-        ).reshape(A, stride)
-        phi = np.where(overloaded, loads - below_weight, 0.0)
-        np.maximum(phi, 0.0, out=phi)
-        # reduce over the real resource columns only: the dense sum has
-        # exactly n addends and pairwise grouping depends on the count
-        potential_before = phi[:, :n].sum(axis=1)
-    else:
-        max_load_before = overloaded_before = potential_before = None
-
-    active = ~below
-    mov_pos = np.flatnonzero(active)  # stack order, grouped by trial
+    active = ~seg.below
+    mov_pos = seg.pos[active]  # stack order, grouped by trial
     mov_abs = batch.order[mov_pos]
-    mov_trial = trial_s[mov_pos]
+    mov_trial = mov_abs // m
     k = np.bincount(mov_trial, minlength=A)
 
     # moved weight: the dense step sums the compressed sorted weights
-    w_act = w_s[active]
+    w_act = seg.w_sub[active]
     offsets = np.concatenate(([0], np.cumsum(k)))
     if batch.fast_math:
         # fast_math: one segmented reduction (different accumulation
@@ -1463,7 +1528,7 @@ def resource_step_batch(
 
     dest = np.empty(mov_abs.shape[0], dtype=np.int64)
     arrival = np.empty(mov_abs.shape[0], dtype=np.int64)
-    src = key_flat[mov_abs] - mov_trial * stride
+    src = batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
     for row in range(A):
         lo, hi = offsets[row], offsets[row + 1]
         if lo == hi:

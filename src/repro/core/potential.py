@@ -15,10 +15,16 @@ quantity measured two ways:
   overloaded resources) but drops by a factor ``(1 - eps/(2(1+eps)))``
   per round in expectation (Lemma 10).
 
-The two definitions coincide numerically: a non-overloaded resource has
-no cutting/above tasks, so restricting the sum to overloaded resources
-changes nothing.  We expose one implementation with both names so code
-reads like the paper it reproduces.
+The two definitions coincide because both count only tasks on
+overloaded resources: Algorithm 5.1 ejects ``I^a ∪ I^c`` only where
+``x_r > T_r``.  In exact arithmetic a resource that is not overloaded
+has no cutting or above task anyway.  In floating point it can have
+one: a stack's running height may round above ``c_r + atol`` while its
+``bincount`` load does not (``tests/core/test_overload_gate.py`` pins
+such a state).  So *active* always means cutting or above on an
+overloaded resource (:meth:`~repro.core.stack.StackPartition.\
+active_mask`), here and in the protocols.  We expose one implementation
+with both names so code reads like the paper it reproduces.
 """
 
 from __future__ import annotations
@@ -60,15 +66,15 @@ def user_potential(state: SystemState) -> float:
 
 
 def active_weight(state: SystemState) -> float:
-    """Total weight of *active* tasks (not yet accepted by a resource).
+    """Total weight of *active* tasks: cutting or above the threshold
+    on an overloaded resource (not yet accepted by a resource).
 
     For the resource-controlled protocol this equals ``Phi``.
     """
     part = state.partition()
-    return float(part.sorted_weight[~part.below].sum())
+    return float(part.sorted_weight[part.active_mask()].sum())
 
 
 def active_count(state: SystemState) -> int:
-    """Number of active (cutting/above) tasks."""
-    part = state.partition()
-    return int((~part.below).sum())
+    """Number of active tasks (see :func:`active_weight`)."""
+    return int(state.partition().active_mask().sum())

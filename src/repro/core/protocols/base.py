@@ -81,6 +81,19 @@ class StepStats:
     max_load_before: float
     loads_after: np.ndarray | None = None
 
+    @classmethod
+    def idle(cls, loads: np.ndarray) -> StepStats:
+        """The round that finds no resource overloaded: nothing moves,
+        ``Phi`` is 0 and the loads carry over unchanged."""
+        return cls(
+            movers=0,
+            moved_weight=0.0,
+            overloaded_before=0,
+            potential_before=0.0,
+            max_load_before=float(loads.max()) if loads.size else 0.0,
+            loads_after=loads,
+        )
+
 
 class Protocol(ABC):
     """One distributed threshold load-balancing protocol."""

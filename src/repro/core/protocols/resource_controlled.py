@@ -100,8 +100,21 @@ class ResourceControlledProtocol(Protocol):
             )
 
     def step(self, state: SystemState, rng: np.random.Generator) -> StepStats:
-        part = state.partition()
-        movers = part.active_tasks()
+        """One round of Algorithm 5.1, mutating ``state`` in place.
+
+        Only overloaded resources eject (their cutting and above tasks,
+        :meth:`~repro.core.stack.StackPartition.active_mask`).  So the
+        round first reads the O(m) load profile and, when no resource is
+        overloaded, returns :meth:`StepStats.idle` without partitioning
+        the stacks or drawing — exactly what the full path would do,
+        since it finds no active task then.
+        """
+        profile = state.load_profile()
+        if not profile.overloaded.any():
+            return StepStats.idle(profile.loads)
+        part = state.partition(profile)
+        active = part.active_mask()
+        movers = part.order[active]
         loads_after = part.loads
         if movers.size:
             w_movers = state.weights[movers]
@@ -114,10 +127,10 @@ class ResourceControlledProtocol(Protocol):
             )
         return StepStats(
             movers=int(movers.shape[0]),
-            moved_weight=float(part.sorted_weight[~part.below].sum()),
+            moved_weight=float(part.sorted_weight[active].sum()),
             overloaded_before=int(part.overloaded.sum()),
             potential_before=part.total_potential(),
-            max_load_before=float(part.loads.max()) if state.n else 0.0,
+            max_load_before=float(part.loads.max()),
             loads_after=loads_after,
         )
 

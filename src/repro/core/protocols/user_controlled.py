@@ -155,17 +155,27 @@ class UserControlledProtocol(Protocol):
         return self._rates(state.partition(), wmax)
 
     def step(self, state: SystemState, rng: np.random.Generator) -> StepStats:
-        part = state.partition()
+        """One round of Algorithm 6.1, mutating ``state`` in place.
+
+        Gated on overload: the round first reads the O(m) load profile
+        and, when no resource is overloaded, returns
+        :meth:`StepStats.idle` without partitioning the stacks or
+        drawing.  This is exact, because only tasks on overloaded
+        resources have a positive migration probability and the full
+        path draws nothing either when none is overloaded.
+        """
+        profile = state.load_profile()
+        if not profile.overloaded.any():
+            return StepStats.idle(profile.loads)
+        part = state.partition(profile)
         stats = StepStats(
             movers=0,
             moved_weight=0.0,
             overloaded_before=int(part.overloaded.sum()),
             potential_before=part.total_potential(),
-            max_load_before=float(part.loads.max()) if state.n else 0.0,
+            max_load_before=float(part.loads.max()),
             loads_after=part.loads,
         )
-        if not part.overloaded.any():
-            return stats
 
         wmax = (
             self.wmax_estimate

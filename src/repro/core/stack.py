@@ -22,17 +22,30 @@ Two implementations live here:
 * :func:`partition_stacks` — the production path: one
   ``lexsort`` + segmented cumulative sums over *all* resources at once,
   O(m log m) per protocol round with no Python-level loops.
+
+Only tasks on *overloaded* resources ever move, so a protocol round
+first reads the cheap O(m) :func:`load_profile` (load vector and
+overload mask) and pays for the partition only when some resource is
+overloaded; the partition then reuses that profile instead of
+recomputing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .thresholds import effective_capacity
 
-__all__ = ["ResourceStack", "StackPartition", "partition_stacks"]
+__all__ = [
+    "LoadProfile",
+    "ResourceStack",
+    "StackPartition",
+    "load_profile",
+    "partition_stacks",
+]
 
 
 class ResourceStack:
@@ -187,17 +200,64 @@ class StackPartition:
     overloaded: np.ndarray
 
     # Derived conveniences -------------------------------------------------
+    def active_mask(self) -> np.ndarray:
+        """Mask over sorted positions of the *active* tasks: cutting or
+        above on an overloaded resource (``I^a ∪ I^c``).
+
+        Restricting to overloaded resources is Algorithm 5.1's rule, and
+        it matters in floating point: a stack's running height can round
+        above ``c_r + atol`` while its ``bincount`` load does not, so a
+        resource that is not overloaded may still show a task outside
+        its below prefix.  Such a task is not active.
+        """
+        return ~self.below & self.overloaded[self.sorted_resource]
+
     def active_tasks(self) -> np.ndarray:
-        """Task indices of every cutting/above task (``I^a ∪ I^c``)."""
-        return self.order[~self.below]
+        """Task indices of every active task (see :meth:`active_mask`)."""
+        return self.order[self.active_mask()]
 
     def accepted_tasks(self) -> np.ndarray:
-        """Task indices of the below prefix (inactive tasks)."""
+        """Task indices of the below prefix (accepted, never active)."""
         return self.order[self.below]
 
     def total_potential(self) -> float:
         """``Phi`` — Eq. (1): total weight cutting or above thresholds."""
         return float(self.phi.sum())
+
+
+class LoadProfile(NamedTuple):
+    """A round's load vector and overload mask (see :func:`load_profile`)."""
+
+    loads: np.ndarray
+    overloaded: np.ndarray
+
+
+def load_profile(
+    resource: np.ndarray,
+    weights: np.ndarray,
+    n: int,
+    threshold: float | np.ndarray,
+    atol: float = 1e-9,
+    speeds: np.ndarray | None = None,
+) -> LoadProfile:
+    """Loads ``x_r`` and the overload mask ``x_r > c_r + atol``.
+
+    The one place a protocol round computes both: O(m) with no sort, so
+    rounds that find nothing overloaded skip :func:`partition_stacks`,
+    and rounds that do hand the profile on to it.  The loads are always
+    float64, also for an empty population, where ``np.bincount``
+    ignores ``weights`` and would return integer zeros.  Arguments are
+    as in :func:`partition_stacks`.
+    """
+    loads = np.bincount(resource, weights=weights, minlength=n)
+    if loads.dtype != np.float64:
+        loads = loads.astype(np.float64)
+    cap = effective_capacity(threshold, speeds, n)
+    if not isinstance(cap, float):
+        cap = np.asarray(cap, dtype=np.float64)
+        if cap.ndim and cap.shape != (n,):
+            raise ValueError(f"threshold must be scalar or shape ({n},)")
+    return LoadProfile(loads, loads > cap + atol)
 
 
 def partition_stacks(
@@ -208,6 +268,7 @@ def partition_stacks(
     threshold: float | np.ndarray,
     atol: float = 1e-9,
     speeds: np.ndarray | None = None,
+    profile: LoadProfile | None = None,
 ) -> StackPartition:
     """Vectorised stack partition across all resources.
 
@@ -234,17 +295,23 @@ def partition_stacks(
         :func:`repro.core.thresholds.effective_capacity`).  ``None``
         (the default) is the paper's homogeneous model and leaves the
         threshold untouched.
+    profile:
+        This state's :func:`load_profile`, when the caller already has
+        it (a protocol round computes it first to test for overload);
+        ``None`` computes it here.
     """
-    threshold = effective_capacity(threshold, speeds, n)
     resource = np.asarray(resource, dtype=np.int64)
     seq = np.asarray(seq, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     m = resource.shape[0]
     if seq.shape[0] != m or weights.shape[0] != m:
         raise ValueError("resource, seq and weights must share length m")
+    if profile is None:
+        profile = load_profile(resource, weights, n, threshold, atol, speeds)
+    loads, overloaded = profile
+    threshold = effective_capacity(threshold, speeds, n)
 
     counts = np.bincount(resource, minlength=n)
-    loads = np.bincount(resource, weights=weights, minlength=n)
 
     order = np.lexsort((seq, resource))
     r_s = resource[order]
@@ -258,21 +325,13 @@ def partition_stacks(
     heights = inclusive - w_s
 
     t = np.asarray(threshold, dtype=np.float64)
-    if t.ndim == 0:
-        t_task = np.full(m, float(t))
-        t_res = np.full(n, float(t))
-    elif t.shape == (n,):
-        t_res = t
-        t_task = t[r_s]
-    else:
-        raise ValueError(f"threshold must be scalar or shape ({n},)")
+    t_task = np.full(m, float(t)) if t.ndim == 0 else t[r_s]
 
     below = inclusive <= t_task + atol
     above = (~below) & (heights >= t_task - atol)
     cutting = (~below) & (~above)
 
     below_weight = np.bincount(r_s[below], weights=w_s[below], minlength=n)
-    overloaded = loads > t_res + atol
     phi = np.where(overloaded, loads - below_weight, 0.0)
     # guard against float dust on the boundary
     np.maximum(phi, 0.0, out=phi)

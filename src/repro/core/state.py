@@ -32,7 +32,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..workloads.placement import loads_from_placement
-from .stack import StackPartition, partition_stacks
+from .stack import (
+    LoadProfile,
+    StackPartition,
+    load_profile,
+    partition_stacks,
+)
 from .thresholds import (
     ThresholdPolicy,
     effective_capacity,
@@ -265,9 +270,24 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
         loads = self.loads()
         return loads if self.speeds is None else loads / self.speeds
 
-    def partition(self) -> StackPartition:
+    def load_profile(self) -> LoadProfile:
+        """Load vector and overload mask (see
+        :func:`repro.core.stack.load_profile`) — O(m), no sort."""
+        return load_profile(
+            self.resource,
+            self.weights,
+            self.n,
+            self.threshold,
+            self.atol,
+            speeds=self.speeds,
+        )
+
+    def partition(
+        self, profile: LoadProfile | None = None
+    ) -> StackPartition:
         """The below/cutting/above stack partition (see
-        :func:`repro.core.stack.partition_stacks`)."""
+        :func:`repro.core.stack.partition_stacks`); pass this state's
+        :meth:`load_profile` when it is already at hand."""
         return partition_stacks(
             self.resource,
             self.seq,
@@ -276,12 +296,12 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
             self.threshold,
             self.atol,
             speeds=self.speeds,
+            profile=profile,
         )
 
     def overloaded_resources(self) -> np.ndarray:
         """Indices of resources with ``x_r > s_r T_r``."""
-        mask = self.loads() > self.capacity_vector() + self.atol
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self.load_profile().overloaded)
 
     def is_balanced(self) -> bool:
         """Termination predicate: every load at or below its capacity."""

@@ -17,6 +17,14 @@ from repro import (
 )
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "equivalence: bit-for-bit equivalence gates between engines "
+        "(CI runs them first with -m equivalence)",
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""

@@ -32,6 +32,8 @@ from repro.experiments import HybridSetup, ResourceControlledSetup
 from repro.study.parse import parse_graph
 from repro.workloads import UniformRangeWeights
 
+pytestmark = pytest.mark.equivalence
+
 
 @st.composite
 def sampler_and_builder(draw):

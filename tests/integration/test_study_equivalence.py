@@ -24,6 +24,8 @@ import pytest
 from repro.experiments._legacy import LEGACY_RUNNERS
 from repro.experiments.registry import EXPERIMENTS
 
+pytestmark = pytest.mark.equivalence
+
 #: Per-key shrink overrides applied on top of the quick preset for the
 #: fast (default) scale.  Chosen so every driver still exercises its
 #: full row structure (multiple axes, workloads, hybrid variant, ...).

@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,8 @@ from repro.workloads import (
     UniformRangeWeights,
     UniformWeights,
 )
+
+pytestmark = pytest.mark.equivalence
 
 
 def runs_equal(dense, batched) -> bool:

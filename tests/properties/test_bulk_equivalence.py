@@ -33,6 +33,8 @@ from repro.core.state import SystemState
 from repro.graphs.random_walk import lazy_walk, max_degree_walk
 from repro.router.bulk import DrawBuffer, is_regular_walk
 
+pytestmark = pytest.mark.equivalence
+
 SEED = 20150807
 N = 36  # 6x6 torus; 4-regular, so its max-degree walk never stays
 

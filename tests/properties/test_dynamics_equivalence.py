@@ -44,6 +44,8 @@ from repro.workloads import (
     UniformRangeWeights,
 )
 
+pytestmark = pytest.mark.equivalence
+
 BACKENDS = ("serial", "process", "batched")
 
 # Golden per-trial outcomes captured on the pre-dynamics revision

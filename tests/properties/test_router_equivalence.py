@@ -36,6 +36,8 @@ from repro.workloads import (
     UniformRangeWeights,
 )
 
+pytestmark = pytest.mark.equivalence
+
 STREAM = PoissonDynamics(
     rate=3.0, horizon=40, lifetimes=ExponentialLifetimes(20.0)
 )

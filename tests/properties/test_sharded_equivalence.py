@@ -35,6 +35,8 @@ from repro.workloads import (
 
 from test_backend_equivalence import runs_equal, traces_equal
 
+pytestmark = pytest.mark.equivalence
+
 
 def _user_setup(n: int = 6, m: int = 40) -> UserControlledSetup:
     return UserControlledSetup(

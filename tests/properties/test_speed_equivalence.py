@@ -43,6 +43,8 @@ from repro.workloads import (
     UniformSpeeds,
 )
 
+pytestmark = pytest.mark.equivalence
+
 BACKENDS = ("serial", "process", "batched")
 
 

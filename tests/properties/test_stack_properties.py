@@ -121,7 +121,7 @@ def test_phi_consistency(sys_tuple):
         else:
             assert part.phi[r] == 0.0
     # total potential equals the weight of all active tasks
-    active_weight = part.sorted_weight[~part.below].sum()
+    active_weight = part.sorted_weight[part.active_mask()].sum()
     assert np.isclose(part.total_potential(), active_weight)
 
 
