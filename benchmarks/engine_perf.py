@@ -72,8 +72,7 @@ Groups of measurements (``--only GROUP`` runs a single one):
   ~3.2 GB, the sharded backend vs batched
   (``scale_sharded_speedup``; honest ~1.0x on a single-core box,
   where the backend degrades to in-process batched and the entry is
-  flagged ``sharded_degraded``), and ``fast_math=True`` vs the
-  default bit-exact mode (``scale_fastmath_speedup``).
+  flagged ``sharded_degraded``).
 
 After each group the harness records the process peak RSS
 (``getrusage().ru_maxrss``, self and pooled children) under
@@ -86,8 +85,7 @@ clean single-group reading.
 All sweeps are seeded, and every backend replays identical trials
 (bit-for-bit — see ``tests/properties/test_backend_equivalence.py``
 and ``tests/properties/test_sharded_equivalence.py``), so the timed
-work is the same per backend by construction (``fast_math`` entries
-excepted — that mode waives the contract by design).
+work is the same per backend by construction.
 
 ``--check-against BASELINE.json`` turns the harness into a regression
 gate: after timing, every ``*_speedup`` key in the fresh summary is
@@ -112,7 +110,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    BatchedBackend,
     CompleteNeighbors,
     Router,
     ShardedBackend,
@@ -172,12 +169,11 @@ def time_backend(
     seed: int,
     backend,
     max_rounds: int = 100_000,
-    label_backend: str | None = None,
 ) -> dict:
     """Run one sweep through one backend and report rounds/sec.
 
     ``backend`` may be a registry name or a pre-built backend instance
-    (how the ``fast_math`` and sharded ``e_scale`` entries run).
+    (how the sharded ``e_scale`` entry runs).
     """
     start = time.perf_counter()
     results = run_trials(
@@ -185,9 +181,7 @@ def time_backend(
     )
     seconds = time.perf_counter() - start
     total_rounds = int(sum(r.rounds for r in results))
-    name = label_backend or (
-        backend if isinstance(backend, str) else backend.name
-    )
+    name = backend if isinstance(backend, str) else backend.name
     return {
         "backend": name,
         "n": setup.n if hasattr(setup, "n") else setup.graph.n,
@@ -632,13 +626,13 @@ def group_e_router(report: dict, quick: bool, seed: int) -> dict:
         distribution=UniformRangeWeights(1.0, 10.0),
         dynamics=replay_stream,
     )
-    # Interleaved best-of reps on every side: the replay margin is a
+    # Interleaved best-of reps on both sides: the replay margin is a
     # few percent, so a single noisy run on a shared box can flip its
-    # sign; interleaving spreads slow phases across all three timings.
+    # sign; interleaving spreads slow phases across both timings.
     replay_reps = 3 if quick else 2
     serial_entry = None
-    replay_seconds = {"scalar": float("inf"), "bulk": float("inf")}
-    replay_rounds = {}
+    replay_seconds = float("inf")
+    replay_rounds = 0
     for _ in range(replay_reps):
         candidate = time_backend(
             replay_setup_obj, replay_trials, seed, "serial"
@@ -649,49 +643,40 @@ def group_e_router(report: dict, quick: bool, seed: int) -> dict:
             > serial_entry["rounds_per_sec"]
         ):
             serial_entry = candidate
-        for mode, bulk in (("scalar", False), ("bulk", True)):
-            children = np.random.SeedSequence(seed).spawn(replay_trials)
-            start = time.perf_counter()
-            reports = [
-                replay_setup(replay_setup_obj, c, bulk=bulk)
-                for c in children
-            ]
-            replay_seconds[mode] = min(
-                replay_seconds[mode], time.perf_counter() - start
-            )
-            replay_rounds[mode] = int(sum(r.rounds for r in reports))
+        children = np.random.SeedSequence(seed).spawn(replay_trials)
+        start = time.perf_counter()
+        reports = [replay_setup(replay_setup_obj, c) for c in children]
+        replay_seconds = min(replay_seconds, time.perf_counter() - start)
+        replay_rounds = int(sum(r.rounds for r in reports))
     serial_entry["label"] = "router-replay-base(complete200)"
     report["e_router"].append(serial_entry)
     print(
         f"[e_router ] {serial_entry['label']:>42} {'serial':>8}: "
         f"{serial_entry['rounds_per_sec']:>9.1f} rounds/s"
     )
-    replay_rates = {}
-    for mode in ("scalar", "bulk"):
-        if replay_rounds[mode] != serial_entry["total_rounds"]:
-            raise AssertionError(
-                "router replay diverged from the serial engine "
-                f"({replay_rounds[mode]} vs "
-                f"{serial_entry['total_rounds']} rounds): the timed "
-                "work is no longer comparable"
-            )
-        replay_rates[mode] = replay_rounds[mode] / replay_seconds[mode]
-        replay_entry = {
-            "backend": f"router-replay-{mode}",
-            "label": f"router-replay-{mode}(complete200)",
-            "n": replay_setup_obj.n,
-            "m": replay_setup_obj.m,
-            "trials": replay_trials,
-            "total_rounds": replay_rounds[mode],
-            "seconds": round(replay_seconds[mode], 3),
-            "rounds_per_sec": round(replay_rates[mode], 1),
-        }
-        report["e_router"].append(replay_entry)
-        print(
-            f"[e_router ] {replay_entry['label']:>42} {mode:>8}: "
-            f"{replay_rates[mode]:>9.1f} rounds/s"
+    if replay_rounds != serial_entry["total_rounds"]:
+        raise AssertionError(
+            "router replay diverged from the serial engine "
+            f"({replay_rounds} vs {serial_entry['total_rounds']} rounds): "
+            "the timed work is no longer comparable"
         )
-    replay_speedup = replay_rates["bulk"] / serial_entry["rounds_per_sec"]
+    replay_rate = replay_rounds / replay_seconds
+    replay_entry = {
+        "backend": "router-replay",
+        "label": "router-replay(complete200)",
+        "n": replay_setup_obj.n,
+        "m": replay_setup_obj.m,
+        "trials": replay_trials,
+        "total_rounds": replay_rounds,
+        "seconds": round(replay_seconds, 3),
+        "rounds_per_sec": round(replay_rate, 1),
+    }
+    report["e_router"].append(replay_entry)
+    print(
+        f"[e_router ] {replay_entry['label']:>42} {'replay':>8}: "
+        f"{replay_rate:>9.1f} rounds/s"
+    )
+    replay_speedup = replay_rate / serial_entry["rounds_per_sec"]
     print(
         f"[summary  ] router: bulk serve {bulk_speedup:.2f}x scalar "
         f"({decisions_per_sec:.0f} decisions/s), replay "
@@ -711,7 +696,7 @@ def group_e_router(report: dict, quick: bool, seed: int) -> dict:
 
 
 def group_e_scale(report: dict, quick: bool, seed: int) -> dict:
-    """The scale frontier: implicit kernels, sharding, fast_math."""
+    """The scale frontier: implicit kernels and sharding."""
     report["e_scale"] = []
 
     def record(entry: dict, label: str, topology_bytes: int, **extra):
@@ -824,35 +809,16 @@ def group_e_scale(report: dict, quick: bool, seed: int) -> dict:
         shard_entry["rounds_per_sec"] / base_entry["rounds_per_sec"]
     )
 
-    # fast_math vs the default bit-exact mode, same workload
-    fm_entry = record(
-        time_backend(
-            impl_setup,
-            mid_trials,
-            seed,
-            BatchedBackend(fast_math=True),
-            max_rounds=max_rounds,
-            label_backend="batched+fast_math",
-        ),
-        f"scale-fastmath(torus{rows}x{cols},m={m})",
-        0,
-    )
-    fastmath_speedup = (
-        fm_entry["rounds_per_sec"] / impl_entry["rounds_per_sec"]
-    )
-
     summary = {
         "scale_headline_rounds_per_sec": round(headline_rps, 1),
         "scale_implicit_speedup": round(implicit_speedup, 2),
         "scale_sharded_speedup": round(sharded_speedup, 2),
-        "scale_fastmath_speedup": round(fastmath_speedup, 2),
     }
     print(
         f"[summary  ] scale: headline {headline_rps:.1f} r/s, "
         f"implicit {implicit_speedup:.2f}x, sharded "
         f"{sharded_speedup:.2f}x"
         + (" (degraded)" if degraded else "")
-        + f", fast_math {fastmath_speedup:.2f}x"
     )
     if not quick:
         summary["scale_headline_target_rounds_per_sec"] = SCALE_TARGET_RPS

@@ -242,16 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the replay against simulate() on the same seed",
     )
     rpl.add_argument(
-        "--bulk",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "ingest each round's arrivals as one batch through the "
-            "router's bulk path (default); --no-bulk uses the scalar "
-            "reference path the equivalence gate compares against"
-        ),
-    )
-    rpl.add_argument(
         "--profile",
         metavar="OUT.pstats",
         help=(
@@ -482,7 +472,7 @@ def _run_replay(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     if profiler is not None:
         profiler.enable()
-    report = replay(router, max_rounds=args.max_rounds, bulk=args.bulk)
+    report = replay(router, max_rounds=args.max_rounds)
     if profiler is not None:
         profiler.disable()
     elapsed = time.perf_counter() - start
@@ -508,7 +498,6 @@ def _run_replay(args, parser: argparse.ArgumentParser) -> int:
         verified = not mismatches
 
     metrics = report.metrics
-    run_view = report.to_run_result()
     if args.json:
         payload = {
             "protocol": report.protocol_name,
@@ -517,10 +506,9 @@ def _run_replay(args, parser: argparse.ArgumentParser) -> int:
             "rounds": report.rounds,
             "balanced": report.balanced,
             "final_makespan": report.final_makespan,
-            "time_in_violation": round(run_view.time_in_violation, 4),
-            "rebalance_churn": round(run_view.rebalance_churn, 2),
+            "time_in_violation": round(report.time_in_violation, 4),
+            "rebalance_churn": round(report.rebalance_churn, 2),
             "elapsed_seconds": round(elapsed, 3),
-            "bulk": args.bulk,
             "metrics": metrics.as_dict(),
         }
         if args.profile:
@@ -545,8 +533,8 @@ def _run_replay(args, parser: argparse.ArgumentParser) -> int:
             f"final makespan: {report.final_makespan:.3f}"
         )
         print(
-            f"   time in violation: {run_view.time_in_violation:.1%}  "
-            f"churn: {run_view.rebalance_churn:.1f} migrations/round  "
+            f"   time in violation: {report.time_in_violation:.1%}  "
+            f"churn: {report.rebalance_churn:.1f} migrations/round  "
             f"migrated weight: {metrics.migrated_weight:.1f}"
         )
         print(f"-- replayed in {elapsed:.2f}s")

@@ -62,21 +62,27 @@ compares against, so chunks with heterogeneous (or mixed
 uniform/heterogeneous) speed vectors vectorise exactly like uniform
 ones and need no signature change.
 
-Dynamic (online-regime) chunks — trials whose states carry a compiled
-:class:`~repro.workloads.dynamics.DynamicsSchedule` — vectorise too.
-The batch allocates one *slot* per task that will ever exist (initial
-population plus the largest per-trial arrival count) and one extra
-*parking column* per trial (local resource index ``n``, stride
+One round loop drives every chunk (:meth:`BatchedBackend.\
+_run_vectorized`): the dense loop's round contract — depart, arrive,
+rethreshold, step, balance check, record — in lockstep across the
+trials.  Dynamic (online-regime) chunks — trials whose states carry a
+compiled :class:`~repro.workloads.dynamics.DynamicsSchedule` — vectorise
+too.  The batch allocates one *slot* per task that will ever exist
+(initial population plus the largest per-trial arrival count) and one
+extra *parking column* per trial (local resource index ``n``, stride
 ``n + 1``): unborn and departed slots sit in the parking column with
 weight ``0.0`` and an infinite bound, so they never overload, never
 move, contribute exactly ``0.0`` to every load bin they never touch,
-and sort to the end of their trial's stack segment.  Each round first
-applies the schedule's departures and arrivals through the same
-order-merge the protocol movers use (disjoint destination keys, so one
-merge call equals the dense remove-then-add), then steps the kernels
-unchanged — every per-trial reduction sees exactly the dense operand
-lengths, which preserves the bit-for-bit contract.  Static chunks have
-``stride == n`` and zero parked slots, so their arithmetic is untouched.
+and sort to the end of their trial's stack segment.  The chunk's events
+are pre-sorted by round (:class:`_ChunkEvents`), so each round finds
+its departures and arrivals by bisection and applies them through the
+same order-merge the protocol movers use (disjoint destination keys, so
+one merge call equals the dense remove-then-add), then steps the
+kernels unchanged — every per-trial reduction sees exactly the dense
+operand lengths, which preserves the bit-for-bit contract.  A static
+(one-shot) chunk is the case with ``stride == n``, zero parked slots
+and no events: its arithmetic is untouched and it records no online
+time series.
 
 Two hot-loop economies keep the engine fast at the scale frontier
 (n ~ 10^5, m ~ 10^6 per trial) without touching the contract above:
@@ -92,15 +98,7 @@ Two hot-loop economies keep the engine fast at the scale frontier
   the merge output and the dynamic inverse-permutation all write into
   buffers allocated once per chunk (the merge ping-pongs ``order``
   against a twin buffer), so steady-state rounds allocate almost
-  nothing; static chunks additionally skip all dynamic bookkeeping.
-
-``BatchedBackend(fast_math=True)`` goes further and **waives the
-bit-exactness contract** (results stay statistically equivalent but may
-differ in float rounding): kernels reuse the incrementally maintained
-load matrix instead of recomputing the fresh ``bincount`` every round,
-and reduce per-trial migrated weight with one segmented ``bincount``
-instead of the dense per-trial summation order.  Never use it where
-results are compared bit-for-bit against another backend.
+  nothing; static chunks never build the dynamic buffers.
 
 Protocols opt into vectorisation by overriding
 :meth:`~repro.core.protocols.base.Protocol.step_batch` to accept a
@@ -126,6 +124,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from ..workloads.dynamics import INFINITE_LIFETIME, DynamicsSchedule
 from .backends import SimulationBackend, TrialSetup
 from .protocols.base import Protocol
 from .protocols.user_controlled import _ceil_lots
@@ -207,6 +206,82 @@ def _segmented_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
 
 
+def _run_sums(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(key, values[run].sum())`` for each run of equal ``keys`` — one
+    slice sum per run, the dense per-trial summation order."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], keys.size]
+    sums = [values[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())]
+    return keys[starts], np.array(sums)
+
+
+class _ChunkEvents:
+    """The scheduled departures and arrivals of a dynamic chunk.
+
+    Each kind is sorted by ``(round, trial, slot)``, so a round's events
+    are one contiguous range found by bisection instead of an
+    ``O(A * m)`` scan of the slots.  Slots are absolute in the chunk's
+    original row numbering (``trial * m + slot``; slot ``m0 + j`` is a
+    trial's ``j``-th arrival); the round loop re-bases them onto the
+    live rows.
+    """
+
+    def __init__(
+        self, scheds: list[DynamicsSchedule], m: int, m0: int
+    ) -> None:
+        dep_round = np.concatenate(
+            [np.r_[sc.initial_depart, sc.arrive_depart] for sc in scheds]
+        )
+        dep_slot = np.concatenate(
+            [
+                i * m + np.arange(m0 + sc.total_arrivals)
+                for i, sc in enumerate(scheds)
+            ]
+        )
+        due = (dep_round >= 1) & (dep_round < INFINITE_LIFETIME)
+        order = np.argsort(dep_round[due], kind="stable")
+        self.dep_round = dep_round[due][order]
+        self.dep_slot = dep_slot[due][order]
+        arr_round = np.concatenate([sc.arrive_round for sc in scheds])
+        order = np.argsort(arr_round, kind="stable")
+        self.arr_round = arr_round[order]
+        self.arr_slot = np.concatenate(
+            [
+                i * m + m0 + np.arange(sc.total_arrivals)
+                for i, sc in enumerate(scheds)
+            ]
+        )[order]
+        self.arr_place = np.concatenate(
+            [sc.arrive_place for sc in scheds]
+        )[order]
+        self.arr_weight = np.concatenate(
+            [sc.arrive_weight for sc in scheds]
+        )[order]
+        self._dep = self._arr = 0  # events consumed so far
+
+    def due(
+        self, t: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Round ``t``'s departing slots, then its arriving slots with
+        their places and weights (call once per round, in order)."""
+        lo, self._dep = self._dep, int(
+            np.searchsorted(self.dep_round, t, side="right")
+        )
+        dep = self.dep_slot[lo : self._dep]
+        lo, self._arr = self._arr, int(
+            np.searchsorted(self.arr_round, t, side="right")
+        )
+        arr = slice(lo, self._arr)
+        return (
+            dep,
+            self.arr_slot[arr],
+            self.arr_place[arr],
+            self.arr_weight[arr],
+        )
+
+
 class BatchState:
     """Stacked mutable state of ``A`` homogeneous live trials.
 
@@ -273,16 +348,6 @@ class BatchState:
             # order deterministic (ascending slot index)
             base = int(seq0.max()) + 1 if m0 else 0
             seq[:, m0:] = base + np.arange(m - m0, dtype=np.int64)
-            # Per-slot departure rounds can be pre-filled: a slot's
-            # departure strictly follows its arrival (lifetimes >= 1),
-            # so a parked slot never matches the current round.
-            self.depart_slot = np.zeros((A, m), dtype=np.int64)
-            self.depart_slot[:, :m0] = np.stack(
-                [sc.initial_depart for sc in scheds]
-            )
-            for row, sc in enumerate(scheds):
-                k = sc.total_arrivals
-                self.depart_slot[row, m0 : m0 + k] = sc.arrive_depart
             self.live_mask = np.zeros((A, m), dtype=bool)
             self.live_mask[:, :m0] = True
             self.m_live = np.full(A, m0, dtype=np.int64)
@@ -291,7 +356,6 @@ class BatchState:
             resource = np.stack([s.resource for s in states])
             seq = np.stack([s.seq for s in states])
             self.key_task = resource + trial_base
-            self.depart_slot = None
             self.live_mask = None
             self.m_live = None
         self.key_task = self.key_task.astype(self.idx, copy=False)
@@ -336,14 +400,6 @@ class BatchState:
         #: When False, kernels may skip the stats reductions that only
         #: feed traces (potential / overload count / max load).
         self.record_stats = False
-        #: When True (set by ``BatchedBackend(fast_math=True)``), the
-        #: kernels may trade the dense float-accumulation order for
-        #: speed: :meth:`fresh_loads` serves :attr:`loads_cache` and
-        #: migrated weight reduces via segmented ``bincount``.
-        self.fast_math = False
-        #: Engine-maintained load matrix for fast-math rounds (``None``
-        #: outside them); see :meth:`fresh_loads`.
-        self.loads_cache: np.ndarray | None = None
         self._scratch_arange = np.arange(A * m, dtype=self.idx)
         self._scratch_keep = np.ones(A * m, dtype=bool)
         self._scratch_u = np.empty((A, m))
@@ -363,25 +419,12 @@ class BatchState:
     def fresh_loads(self) -> np.ndarray:
         """Load matrix ``(A, stride)`` recomputed exactly like the dense
         partition (one weighted ``bincount`` in task-index order; the
-        dynamic parking column only ever accumulates zeros).
-
-        Under ``fast_math`` the engine publishes its incrementally
-        maintained matrix in :attr:`loads_cache` before each round and
-        this returns it as-is — same statistics, different float
-        accumulation order, no ``O(A * m)`` bincount.  Kernels only read
-        the returned matrix, so serving the engine's array is safe.
-        """
-        if self.fast_math and self.loads_cache is not None:
-            return self.loads_cache
+        dynamic parking column only ever accumulates zeros)."""
         return np.bincount(
             self.key_task.ravel(),
             weights=self.w_task.ravel(),
             minlength=self.A * self.stride,
         ).reshape(self.A, self.stride)
-
-    def balanced_mask(self, loads: np.ndarray) -> np.ndarray:
-        """Per-trial termination predicate on a load matrix."""
-        return (loads <= self.bound).all(axis=1)
 
     def sorted_heights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(w_s, cum)``: weights in stack order and their row-wise
@@ -597,13 +640,9 @@ class BatchState:
         if self.dynamic:
             target.live_mask = np.ascontiguousarray(self.live_mask[rows])
             target.m_live = self.m_live[rows]
-            target.depart_slot = np.ascontiguousarray(
-                self.depart_slot[rows]
-            )
         else:
             target.live_mask = None
             target.m_live = None
-            target.depart_slot = None
         target.t_res = np.ascontiguousarray(self.t_res[rows])
         if self.speeds is None:
             target.speeds = None
@@ -639,7 +678,6 @@ class BatchState:
         self._order_buf = self._order_buf[:size]
         if self.dynamic:
             self._scratch_inv = self._scratch_inv[:size]
-        self.loads_cache = None  # row set changed; engine republishes
 
     # ------------------------------------------------------------------
     def extract(self, rows: np.ndarray) -> "BatchState":
@@ -663,12 +701,6 @@ class BatchState:
         sub.m0 = self.m0
         self._rebase_rows_onto(sub, rows)
         sub.record_stats = self.record_stats
-        sub.fast_math = self.fast_math
-        sub.loads_cache = (
-            np.ascontiguousarray(self.loads_cache[rows])
-            if self.loads_cache is not None
-            else None
-        )
         k = sub.A
         size = k * self.m
         sub._scratch_arange = self._scratch_arange[:size]
@@ -710,16 +742,6 @@ class BatchedBackend(SimulationBackend):
         Trials stacked per chunk; ``None`` sizes chunks so the flat
         arrays hold about :data:`DEFAULT_CHUNK_ELEMENTS` task slots.
         Chunking only bounds memory — results are independent of it.
-    fast_math:
-        When True, **waive the bit-exactness contract** for speed:
-        vectorised rounds reuse the incrementally maintained load
-        matrix instead of recomputing the fresh per-round ``bincount``
-        (static chunks only — dynamic chunks always recompute), and
-        migrated weight reduces via one segmented ``bincount`` instead
-        of the dense per-trial summation order.  Results are
-        statistically equivalent but may differ from the other backends
-        in float rounding, so never combine with cross-backend
-        bit-for-bit comparisons.  Default False.
 
     Notes
     -----
@@ -737,13 +759,10 @@ class BatchedBackend(SimulationBackend):
 
     name = "batched"
 
-    def __init__(
-        self, max_batch: int | None = None, fast_math: bool = False
-    ) -> None:
+    def __init__(self, max_batch: int | None = None) -> None:
         if max_batch is not None and max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self.max_batch = max_batch
-        self.fast_math = bool(fast_math)
         #: Fallback reasons already warned about in the current
         #: ``run_trials`` call (reset at each entry).
         self._warned_fallbacks: set[str] = set()
@@ -756,6 +775,8 @@ class BatchedBackend(SimulationBackend):
         max_rounds: int = 100_000,
         record_traces: bool = False,
     ) -> list[RunResult]:
+        if max_rounds < 0:
+            raise ValueError("max_rounds must be non-negative")
         self._warned_fallbacks = set()  # fresh one-shot latch per call
         results: list[RunResult | None] = [None] * len(seed_seqs)
         protocols: list[Protocol] = []
@@ -805,10 +826,6 @@ class BatchedBackend(SimulationBackend):
         for protocol, state in zip(protocols, states):
             protocol.validate_state(state)
         if self._vectorizable(protocols, states):
-            if states[0].dynamics is not None:
-                return self._run_vectorized_dynamic(
-                    protocols, states, rngs, max_rounds, record_traces
-                )
             return self._run_vectorized(
                 protocols, states, rngs, max_rounds, record_traces
             )
@@ -884,167 +901,38 @@ class BatchedBackend(SimulationBackend):
         max_rounds: int,
         record_traces: bool,
     ) -> list[RunResult]:
+        """The batched round loop: the dense loop's round contract
+        (:func:`~repro.core.simulator.run_rounds`) in lockstep across
+        the chunk.
+
+        Each round applies the schedules' departures and arrivals to
+        the batch (parking-column slot moves), rethresholds the rows
+        whose population changed, steps the shared kernel, records,
+        then retires the trials that are balanced and past their last
+        event.  Every per-trial operation matches the dense loop, so
+        results are bit-for-bit identical.  A static chunk has no
+        events: it never touches the population machinery and records
+        no online time series.
+        """
         B = len(states)
         protocol = protocols[0]  # signature-checked interchangeable
         # ... but names may differ cosmetically (e.g. per-trial graph
         # names), so report each trial under its own.
         names = [p.name for p in protocols]
-        batch = BatchState(states)
-        batch.record_stats = record_traces
-        batch.fast_math = self.fast_math
-        del states  # the stacked arrays are authoritative from here on
-
-        total_movers = np.zeros(B, dtype=np.int64)
-        total_weight = np.zeros(B)
-        rounds = np.zeros(B, dtype=np.int64)
-        traces = (
-            [
-                [
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                    _TraceBuffer(),
-                ]
-                for _ in range(B)
-            ]
-            if record_traces
-            else None
-        )
-        results: list[RunResult | None] = [None] * B
-
-        loads = batch.fresh_loads()
-        live = np.arange(B)
-
-        def finish(
-            chunk_rows: np.ndarray, loads_now: np.ndarray, balanced: bool
-        ) -> None:
-            for row in chunk_rows:
-                trial = int(live[row])
-                bufs = traces[trial] if record_traces else None
-                results[trial] = RunResult(
-                    balanced=balanced,
-                    rounds=int(rounds[trial]),
-                    final_loads=loads_now[row].copy(),
-                    threshold=batch.thresholds[row],
-                    total_migrations=int(total_movers[trial]),
-                    total_migrated_weight=float(total_weight[trial]),
-                    potential_trace=bufs[0].array() if bufs else None,
-                    overloaded_trace=bufs[1].array() if bufs else None,
-                    movers_trace=bufs[2].array() if bufs else None,
-                    max_load_trace=bufs[3].array() if bufs else None,
-                    protocol_name=names[trial],
-                    speeds=batch.speeds_rows[row],
-                )
-
-        done = batch.balanced_mask(loads)
-        if done.any():
-            finish(np.flatnonzero(done), loads, balanced=True)
-            keep = ~done
-            batch.compact(keep)
-            live = live[keep]
-            loads = loads[keep]
-
-        live_rngs = [rngs[t] for t in live]
-        executed = 0
-        while live.size and executed < max_rounds:
-            if self.fast_math:
-                # publish the maintained matrix so fresh_loads() can
-                # skip its O(A*m) bincount this round
-                batch.loads_cache = loads
-            stats = protocol.step_batch(batch, live_rngs)
-            executed += 1
-            rounds[live] = executed
-            total_movers[live] += stats.movers
-            total_weight[live] += stats.moved_weight
-            if record_traces:
-                for row, trial in enumerate(live):
-                    bufs = traces[trial]
-                    bufs[0].append(stats.potential_before[row])
-                    bufs[1].append(stats.overloaded_before[row])
-                    bufs[2].append(stats.movers[row])
-                    bufs[3].append(stats.max_load_before[row])
-            loads = stats.loads_after
-            done = batch.balanced_mask(loads)
-            if done.any():
-                finish(np.flatnonzero(done), loads, balanced=True)
-                keep = ~done
-                batch.compact(keep)
-                live = live[keep]
-                loads = loads[keep]
-                live_rngs = [r for r, k in zip(live_rngs, keep) if k]
-
-        if live.size:  # round budget exhausted: censored, like the dense path
-            finish(np.arange(live.size), loads, balanced=False)
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_vectorized_dynamic(
-        self,
-        protocols: list[Protocol],
-        states: list[SystemState],
-        rngs: list[np.random.Generator],
-        max_rounds: int,
-        record_traces: bool,
-    ) -> list[RunResult]:
-        """The online-regime twin of :meth:`_run_vectorized`.
-
-        Mirrors ``simulator._simulate_dynamic`` in lockstep across the
-        chunk: each round applies the schedules' departures/arrivals to
-        the batch (parking-column slot moves), re-evaluates per-trial
-        thresholds where the population changed, steps the shared
-        kernel, then records the online time series and retires trials
-        whose schedule is exhausted and whose loads are in bound.  All
-        per-trial arithmetic matches the dense loop operation for
-        operation, so results are bit-for-bit identical.
-        """
-        B = len(states)
-        protocol = protocols[0]
-        names = [p.name for p in protocols]
-        scheds = [s.dynamics for s in states]
-        last_event = np.array(
-            [sc.last_event_round for sc in scheds], dtype=np.int64
-        )
+        # all or none (_vectorizable falls back on mixed chunks)
+        scheds = [s.dynamics for s in states if s.dynamics is not None]
         # the dense loop seeds its running W(t) from state.weights.sum()
         live_weight = np.array([float(s.weights.sum()) for s in states])
         batch = BatchState(states)
         batch.record_stats = record_traces
-        # fast_math in dynamic mode only relaxes the migrated-weight
-        # reduction: the load matrix is always recomputed fresh, since
-        # population events change weights between rounds.
-        batch.fast_math = self.fast_math
-        n, m, m0 = batch.n, batch.m, batch.m0
-        del states
-
-        # Event-round skip: most rounds see no arrival and no departure,
-        # so scanning the (A, m) depart matrix every round is pure
-        # overhead.  Precompute each trial's sorted distinct event
-        # rounds; the O(A*m) scan below only runs on rounds where some
-        # live trial actually has an event (a superset check, so the
-        # skipped rounds are exact no-ops and results are unchanged).
-        from ..workloads.dynamics import INFINITE_LIFETIME
-
-        NO_EVENT = np.iinfo(np.int64).max
-        event_rounds: list[np.ndarray] = []
-        for sc in scheds:
-            ev = np.unique(
-                np.concatenate(
-                    [
-                        sc.arrive_round,
-                        sc.initial_depart[
-                            sc.initial_depart < INFINITE_LIFETIME
-                        ],
-                        sc.arrive_depart[
-                            sc.arrive_depart < INFINITE_LIFETIME
-                        ],
-                    ]
-                )
-            )
-            event_rounds.append(ev.astype(np.int64, copy=False))
-        eptr = np.zeros(B, dtype=np.int64)
-        next_ev = np.array(
-            [ev[0] if ev.size else NO_EVENT for ev in event_rounds],
+        n, m = batch.n, batch.m
+        del states  # the stacked arrays are authoritative from here on
+        events = _ChunkEvents(scheds, m, batch.m0) if scheds else None
+        last_event = np.array(
+            [sc.last_event_round for sc in scheds] or [0] * B,
             dtype=np.int64,
         )
+        horizon = int(last_event.max())
 
         total_movers = np.zeros(B, dtype=np.int64)
         total_weight = np.zeros(B)
@@ -1054,142 +942,106 @@ class BatchedBackend(SimulationBackend):
             if record_traces
             else None
         )
-        dyn_traces = [[_TraceBuffer() for _ in range(4)] for _ in range(B)]
+        series = (
+            [[_TraceBuffer() for _ in range(4)] for _ in range(B)]
+            if scheds
+            else None
+        )
         results: list[RunResult | None] = [None] * B
-        ptr = np.zeros(B, dtype=np.int64)  # arrivals consumed, per trial
 
+        live = np.arange(B)  # the trial of each batch row
+        shift = np.zeros(B, dtype=np.int64)  # trial slot - row slot
+        live_rngs = list(rngs)
         loads = batch.fresh_loads()
-        live = np.arange(B)
+        # One comparison per round decides balance (and, for the time
+        # series, counts violations), like the dense loop: no load is
+        # NaN, and the parking column's infinite bound never trips.
+        unbalanced = (loads > batch.bound).any(axis=1)
+        executed = 0
 
-        def finish(
-            chunk_rows: np.ndarray,
-            loads_now: np.ndarray,
-            balanced: np.ndarray,
-        ) -> None:
-            for row in chunk_rows:
+        def retire(done: np.ndarray) -> None:
+            """Report the trials of the ``done`` rows; drop the rows."""
+            nonlocal live, live_rngs, loads, unbalanced
+            if not done.any():
+                return
+            for row in np.flatnonzero(done):
                 trial = int(live[row])
-                bufs = traces[trial] if record_traces else None
-                dbufs = dyn_traces[trial]
+                tr = (
+                    [b.array() for b in traces[trial]]
+                    if traces
+                    else [None] * 4
+                )
+                se = (
+                    [b.array() for b in series[trial]]
+                    if series
+                    else [None] * 4
+                )
                 results[trial] = RunResult(
-                    balanced=bool(balanced[row]),
+                    balanced=not unbalanced[row],
                     rounds=int(rounds[trial]),
-                    final_loads=loads_now[row, :n].copy(),
+                    final_loads=loads[row, :n].copy(),
                     threshold=batch.thresholds[row],
                     total_migrations=int(total_movers[trial]),
                     total_migrated_weight=float(total_weight[trial]),
-                    potential_trace=bufs[0].array() if bufs else None,
-                    overloaded_trace=bufs[1].array() if bufs else None,
-                    movers_trace=bufs[2].array() if bufs else None,
-                    max_load_trace=bufs[3].array() if bufs else None,
+                    potential_trace=tr[0],
+                    overloaded_trace=tr[1],
+                    movers_trace=tr[2],
+                    max_load_trace=tr[3],
                     protocol_name=names[trial],
                     speeds=batch.speeds_rows[row],
-                    live_tasks_trace=dbufs[0].array(),
-                    total_weight_trace=dbufs[1].array(),
-                    makespan_trace=dbufs[2].array(),
-                    violation_trace=dbufs[3].array(),
+                    live_tasks_trace=se[0],
+                    total_weight_trace=se[1],
+                    makespan_trace=se[2],
+                    violation_trace=se[3],
                 )
-
-        done = batch.balanced_mask(loads) & (last_event[live] < 1)
-        if done.any():
-            finish(np.flatnonzero(done), loads, done)
             keep = ~done
             batch.compact(keep)
-            live = live[keep]
-            loads = loads[keep]
+            live, loads = live[keep], loads[keep]
+            unbalanced = unbalanced[keep]
+            live_rngs = [r for r, k in zip(live_rngs, keep) if k]
+            shift[live] = (live - np.arange(live.size)) * m
 
-        live_rngs = [rngs[t] for t in live]
-        executed = 0
+        retire(~unbalanced & (last_event <= 0))
         while live.size and executed < max_rounds:
             t = executed + 1
-            # --- departures then arrivals, like the dense loop ---
-            # Rounds where no live trial has a scheduled event skip the
-            # whole block (including the O(A*m) departure scan): the
-            # precomputed event rounds are a superset of the rounds the
-            # scan could fire on, so the skip is an exact no-op.
-            run_events = bool(np.any(next_ev[live] <= t))
-            if run_events:
-                dep_mask = (batch.depart_slot == t) & batch.live_mask
-                arr_hi = np.array(
-                    [
-                        np.searchsorted(
-                            scheds[trial].arrive_round, t, side="right"
-                        )
-                        for trial in live
-                    ],
-                    dtype=np.int64,
-                )
-                arr_lo = ptr[live]
-                for row in np.flatnonzero(next_ev[live] <= t):
-                    trial = int(live[row])
-                    ev = event_rounds[trial]
-                    e = eptr[trial] + 1
-                    eptr[trial] = e
-                    next_ev[trial] = ev[e] if e < ev.shape[0] else NO_EVENT
-            if run_events and (dep_mask.any() or np.any(arr_hi > arr_lo)):
-                dep_abs = np.flatnonzero(dep_mask.ravel())
-                if dep_abs.size:
-                    dep_trial = dep_abs // m
-                    dep_counts = np.bincount(dep_trial, minlength=live.size)
-                    off = np.concatenate(([0], np.cumsum(dep_counts)))
-                    w_dep = batch.w_task.ravel()[dep_abs]
-                    for row in np.flatnonzero(dep_counts):
-                        live_weight[live[row]] -= float(
-                            w_dep[off[row] : off[row + 1]].sum()
-                        )
-                arr_abs_parts: list[np.ndarray] = []
-                arr_place_parts: list[np.ndarray] = []
-                arr_weight_parts: list[np.ndarray] = []
-                for row in np.flatnonzero(arr_hi > arr_lo):
-                    trial = int(live[row])
-                    lo, hi = int(arr_lo[row]), int(arr_hi[row])
-                    sc = scheds[trial]
-                    arr_abs_parts.append(
-                        row * m + m0 + np.arange(lo, hi, dtype=np.int64)
+            if events is not None and t <= horizon:
+                # departures then arrivals, like the dense loop
+                dep, arr, arr_place, arr_weight = events.due(t)
+                dep = dep - shift[dep // m]
+                dep = dep[batch.live_mask.ravel()[dep]]
+                arr = arr - shift[arr // m]
+                if dep.size:
+                    trials, sums = _run_sums(
+                        live[dep // m], batch.w_task.ravel()[dep]
                     )
-                    arr_place_parts.append(sc.arrive_place[lo:hi])
-                    w_new = sc.arrive_weight[lo:hi]
-                    arr_weight_parts.append(w_new)
-                    live_weight[trial] += float(w_new.sum())
-                    ptr[trial] = hi
-                empty_i = np.empty(0, dtype=np.int64)
-                empty_f = np.empty(0)
-                arr_abs = (
-                    np.concatenate(arr_abs_parts)
-                    if arr_abs_parts
-                    else empty_i
-                )
-                arr_place = (
-                    np.concatenate(arr_place_parts)
-                    if arr_place_parts
-                    else empty_i
-                )
-                arr_weight = (
-                    np.concatenate(arr_weight_parts)
-                    if arr_weight_parts
-                    else empty_f
-                )
-                changed = batch.apply_population_events(
-                    dep_abs, arr_abs, arr_place, arr_weight
-                )
-                for row in np.flatnonzero(changed):
-                    sc = scheds[int(live[row])]
-                    if sc.policy is None or batch.m_live[row] == 0:
-                        continue
-                    w_row = batch.w_task[row][batch.live_mask[row]]
-                    t_new = sc.policy.compute_for(
-                        w_row, n, speeds=batch.speeds_rows[row]
+                    live_weight[trials] -= sums
+                if arr.size:
+                    trials, sums = _run_sums(live[arr // m], arr_weight)
+                    live_weight[trials] += sums
+                if dep.size or arr.size:
+                    changed = batch.apply_population_events(
+                        dep, arr, arr_place, arr_weight
                     )
-                    batch.thresholds[row] = t_new
-                    batch.t_res[row] = np.asarray(t_new, dtype=np.float64)
-                    if batch.speeds is not None:
-                        # rethreshold refresh of the stacked cap plane
-                        # (same s * T operand order as BatchState init)
-                        batch.cap[row] = (
-                            batch.speeds[row]  # lint: allow-capacity
-                            * batch.t_res[row]
+                    for row in np.flatnonzero(changed):
+                        sc = scheds[int(live[row])]
+                        if sc.policy is None or batch.m_live[row] == 0:
+                            continue
+                        w_row = batch.w_task[row][batch.live_mask[row]]
+                        t_new = sc.policy.compute_for(
+                            w_row, n, speeds=batch.speeds_rows[row]
                         )
-                    # speeds None: cap aliases t_res, already updated
-                    batch.bound[row, :n] = batch.cap[row] + batch.atol[row]
+                        batch.thresholds[row] = t_new
+                        batch.t_res[row] = np.asarray(t_new, dtype=np.float64)
+                        if batch.speeds is not None:
+                            # rethreshold refresh of the stacked cap
+                            # plane (same s * T operand order as
+                            # BatchState init)
+                            batch.cap[row] = (
+                                batch.speeds[row]  # lint: allow-capacity
+                                * batch.t_res[row]
+                            )
+                        # speeds None: cap aliases t_res, already updated
+                        batch.bound[row, :n] = batch.cap[row] + batch.atol[row]
 
             stats = protocol.step_batch(batch, live_rngs)
             executed += 1
@@ -1197,37 +1049,33 @@ class BatchedBackend(SimulationBackend):
             total_movers[live] += stats.movers
             total_weight[live] += stats.moved_weight
             loads = stats.loads_after
-            viol = (loads[:, :n] > batch.bound[:, :n]).sum(axis=1)
-            for row, trial in enumerate(live):
-                if record_traces:
-                    bufs = traces[trial]
-                    bufs[0].append(stats.potential_before[row])
-                    bufs[1].append(stats.overloaded_before[row])
-                    bufs[2].append(stats.movers[row])
-                    bufs[3].append(stats.max_load_before[row])
-                dbufs = dyn_traces[trial]
-                dbufs[0].append(int(batch.m_live[row]))
-                dbufs[1].append(live_weight[trial])
-                if batch.speeds is None:
-                    span = float(loads[row, :n].max())
-                else:
-                    span = float(
-                        (loads[row, :n] / batch.speeds[row]).max()
-                    )
-                dbufs[2].append(span if n else 0.0)
-                dbufs[3].append(int(viol[row]))
+            exceeded = loads > batch.bound
+            if series is None:
+                unbalanced = exceeded.any(axis=1)
+            else:
+                viol = exceeded.sum(axis=1)
+                unbalanced = viol > 0
+            if traces is not None or series is not None:
+                for row, trial in enumerate(live):
+                    if traces is not None:
+                        bufs = traces[trial]
+                        bufs[0].append(stats.potential_before[row])
+                        bufs[1].append(stats.overloaded_before[row])
+                        bufs[2].append(stats.movers[row])
+                        bufs[3].append(stats.max_load_before[row])
+                    if series is not None:
+                        bufs = series[trial]
+                        bufs[0].append(int(batch.m_live[row]))
+                        bufs[1].append(live_weight[trial])
+                        norm = loads[row, :n]
+                        if batch.speeds is not None:
+                            norm = norm / batch.speeds[row]
+                        bufs[2].append(float(norm.max()) if n else 0.0)
+                        bufs[3].append(int(viol[row]))
+            retire(~unbalanced & (last_event[live] <= executed))
 
-            done = batch.balanced_mask(loads) & (last_event[live] <= executed)
-            if done.any():
-                finish(np.flatnonzero(done), loads, done)
-                keep = ~done
-                batch.compact(keep)
-                live = live[keep]
-                loads = loads[keep]
-                live_rngs = [r for r, k in zip(live_rngs, keep) if k]
-
-        if live.size:  # budget exhausted — report per-row balance honestly
-            finish(np.arange(live.size), loads, batch.balanced_mask(loads))
+        # round budget exhausted: censored, like the dense loop
+        retire(np.ones(live.size, dtype=bool))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -1438,7 +1286,6 @@ def user_step_batch(
         else None
     )
     fifo = proto.arrival_order != "random"
-    fast = batch.fast_math
     for row in range(A):
         lo, hi = offsets[row], offsets[row + 1]
         if lo == hi:
@@ -1448,18 +1295,11 @@ def user_step_batch(
             dest[lo:hi] = rng.integers(0, n, size=hi - lo)
         else:
             dest[lo:hi] = proto.walk.step(src[lo:hi], rng)
-        if not fast:
-            moved_weight[row] = float(w_mov[lo:hi].sum())
+        moved_weight[row] = float(w_mov[lo:hi].sum())
         if fifo:
             arrival[lo:hi] = np.arange(hi - lo)
         else:
             arrival[lo:hi] = rng.permutation(hi - lo)
-    if fast:
-        # one segmented reduction instead of A slice sums (fast_math:
-        # different accumulation order, same statistics)
-        moved_weight = np.bincount(
-            mov_trial, weights=w_mov, minlength=A
-        )
 
     loads_after = batch.apply_moves(mov_abs, mov_pos, dest, arrival, loads)
     return BatchStepStats(
@@ -1505,16 +1345,11 @@ def resource_step_batch(
     # moved weight: the dense step sums the compressed sorted weights
     w_act = seg.w_sub[active]
     offsets = np.concatenate(([0], np.cumsum(k)))
-    if batch.fast_math:
-        # fast_math: one segmented reduction (different accumulation
-        # order than the dense per-trial sums, same statistics)
-        moved_weight = np.bincount(mov_trial, weights=w_act, minlength=A)
-    else:
-        moved_weight = np.zeros(A)
-        for row in range(A):
-            lo, hi = offsets[row], offsets[row + 1]
-            if lo != hi:
-                moved_weight[row] = float(w_act[lo:hi].sum())
+    moved_weight = np.zeros(A)
+    for row in range(A):
+        lo, hi = offsets[row], offsets[row + 1]
+        if lo != hi:
+            moved_weight[row] = float(w_act[lo:hi].sum())
 
     if mov_abs.shape[0] == 0:
         return BatchStepStats(

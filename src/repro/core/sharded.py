@@ -55,7 +55,7 @@ class ShardedDegradationWarning(RuntimeWarning):
 
 
 def _shard_worker(
-    args: tuple[TrialSetup, list, int, bool, int | None, bool],
+    args: tuple[TrialSetup, list, int, bool, int | None],
 ) -> tuple[tuple[str, tuple, str] | None, list[RunResult]]:
     """Run one shard through the batched engine in a worker process.
 
@@ -67,10 +67,10 @@ def _shard_worker(
     closes its mapping but never unlinks — the parent owns the unlink
     after copying.
     """
-    setup, seed_seqs, max_rounds, record_traces, max_batch, fast_math = args
+    setup, seed_seqs, max_rounds, record_traces, max_batch = args
     from .batch import BatchedBackend
 
-    backend = BatchedBackend(max_batch=max_batch, fast_math=fast_math)
+    backend = BatchedBackend(max_batch=max_batch)
     results = backend.run_trials(
         setup, seed_seqs, max_rounds=max_rounds, record_traces=record_traces
     )
@@ -118,9 +118,6 @@ class ShardedBackend(SimulationBackend):
         Forwarded to each worker's
         :class:`~repro.core.batch.BatchedBackend` (chunk size within a
         shard; results are independent of it).
-    fast_math:
-        Forwarded likewise — waives the bit-exactness contract inside
-        every shard (see ``BatchedBackend``).  Default False.
     """
 
     name = "sharded"
@@ -129,7 +126,6 @@ class ShardedBackend(SimulationBackend):
         self,
         workers: int = -1,
         max_batch: int | None = None,
-        fast_math: bool = False,
     ) -> None:
         if workers is None:
             raise ValueError(
@@ -141,7 +137,6 @@ class ShardedBackend(SimulationBackend):
             raise ValueError("max_batch must be positive")
         self.workers = int(workers)
         self.max_batch = max_batch
-        self.fast_math = bool(fast_math)
 
     # ------------------------------------------------------------------
     def run_trials(
@@ -153,6 +148,8 @@ class ShardedBackend(SimulationBackend):
     ) -> list[RunResult]:
         from .batch import BatchedBackend
 
+        if max_rounds < 0:  # before any pool starts
+            raise ValueError("max_rounds must be non-negative")
         trials = len(seed_seqs)
         if self.workers == -1:
             nproc = os.cpu_count() or 1
@@ -168,9 +165,7 @@ class ShardedBackend(SimulationBackend):
                 ShardedDegradationWarning,
                 stacklevel=2,
             )
-            return BatchedBackend(
-                max_batch=self.max_batch, fast_math=self.fast_math
-            ).run_trials(
+            return BatchedBackend(max_batch=self.max_batch).run_trials(
                 setup,
                 seed_seqs,
                 max_rounds=max_rounds,
@@ -187,7 +182,6 @@ class ShardedBackend(SimulationBackend):
                 max_rounds,
                 record_traces,
                 self.max_batch,
-                self.fast_math,
             )
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo

@@ -6,30 +6,39 @@ paper's *balancing time*) or a round budget is exhausted, recording the
 trajectories that the analysis module consumes (potential, overload
 count, migration volume, maximum load).
 
-States carrying a compiled :class:`~repro.workloads.dynamics.\
-DynamicsSchedule` run the *online* variant of the loop instead: each
-round first applies departures and arrivals, optionally recomputes the
-threshold from the live workload, then executes one protocol round.
-The run ends once the schedule has no further events and the system is
-balanced.  Dynamic runs always record the online time series
-(``live_tasks_trace``, ``total_weight_trace``, ``makespan_trace``,
-``violation_trace``) — they are the point of the regime.  With an empty
-schedule the online loop degenerates to the one-shot loop exactly
-(same protocol RNG stream, same round count, same traces), which is the
-bit-for-bit equivalence the dynamics property suite gates on.
+Every dense run goes through one round loop, :func:`run_rounds`.  It
+consumes the state's compiled :class:`~repro.workloads.dynamics.\
+DynamicsSchedule` — the empty schedule for a one-shot state — and each
+round first removes the tasks departing then, inserts the round's
+arrivals, recomputes the threshold if the population changed (and the
+schedule carries a policy), then executes one protocol round.  The run
+ends once the schedule has no further events and the system is
+balanced; with the empty schedule that is exactly the paper's one-shot
+termination rule.  The loop reaches the population only through five
+verbs (:class:`RoundVerbs`), which :class:`~repro.router.core.Router`
+implements for live traffic — :func:`~repro.router.replay.replay` runs
+this loop through a router — and :class:`_StateVerbs` implements over
+the bare state for :func:`simulate`.
+
+Dynamic runs record the online time series (``live_tasks_trace``,
+``total_weight_trace``, ``makespan_trace``, ``violation_trace``) — they
+are the point of the regime; one-shot runs leave them ``None``.
 """
 
 from __future__ import annotations
 
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..workloads.dynamics import INFINITE_LIFETIME, DynamicsSchedule
 from .protocols.base import Protocol, StepStats
 from .state import SystemState
+from .thresholds import ThresholdPolicy
 
-__all__ = ["RunResult", "simulate"]
+__all__ = ["RoundVerbs", "RunResult", "run_rounds", "simulate"]
 
 
 @dataclass
@@ -163,6 +172,85 @@ class _TraceBuffer:
         return self.data[: self.size].copy()
 
 
+class RoundVerbs(typing.Protocol):
+    """The population and round verbs :func:`run_rounds` drives.
+
+    ``task_ids`` lists the live tasks' ids in the state's task order
+    (ascending, syncing any deferred operations first); ``depart``
+    retires tasks by id; ``submit_many`` places new tasks and returns
+    their ids; ``rethreshold`` recomputes the threshold from the live
+    workload and returns the new balance bound (effective capacity plus
+    tolerance, per resource); ``tick`` runs one protocol round.
+    """
+
+    protocol: Protocol
+    state: SystemState
+
+    def task_ids(self) -> np.ndarray: ...
+
+    def depart(self, ids: np.ndarray) -> int: ...
+
+    def submit_many(
+        self, weights: np.ndarray, resources: np.ndarray
+    ) -> np.ndarray: ...
+
+    def rethreshold(self, policy: ThresholdPolicy) -> np.ndarray: ...
+
+    def tick(self) -> StepStats: ...
+
+
+class _StateVerbs:
+    """:class:`RoundVerbs` over a bare state, for :func:`simulate`.
+
+    Ids are assigned the way the router assigns them (the initial
+    population is ``0..m-1``, arrivals count on from ``m``) and kept
+    aligned with the task order, so they stay ascending and a
+    departure's positions are one bisection.
+    """
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        state: SystemState,
+        rng: np.random.Generator,
+    ) -> None:
+        self.protocol = protocol
+        self.state = state
+        self.rng = rng
+        self._ids = np.arange(state.m, dtype=np.int64)
+        self._next_id = state.m
+
+    def task_ids(self) -> np.ndarray:
+        return self._ids
+
+    def depart(self, ids: np.ndarray) -> int:
+        pos = np.searchsorted(self._ids, ids)
+        self.state.remove_tasks(pos)
+        self._ids = np.delete(self._ids, pos)
+        return int(pos.size)
+
+    def submit_many(
+        self, weights: np.ndarray, resources: np.ndarray
+    ) -> np.ndarray:
+        self.state.add_tasks(weights, resources)
+        k = int(weights.shape[0])
+        ids = np.arange(self._next_id, self._next_id + k, dtype=np.int64)
+        self._next_id += k
+        self._ids = np.concatenate([self._ids, ids])
+        return ids
+
+    def rethreshold(self, policy: ThresholdPolicy) -> np.ndarray:
+        state = self.state
+        if state.m:
+            state.threshold = policy.compute_for(
+                state.weights, state.n, speeds=state.speeds
+            )
+        return state.capacity_vector() + state.atol
+
+    def tick(self) -> StepStats:
+        return self.protocol.step(self.state, self.rng)
+
+
 def simulate(
     protocol: Protocol,
     state: SystemState,
@@ -193,153 +281,119 @@ def simulate(
         Returning ``False`` stops the loop after the current round; a
         run stopped while still unbalanced is reported as censored.
     """
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be non-negative")
-    protocol.validate_state(state)
-
-    if state.dynamics is not None:
-        return _simulate_dynamic(
-            protocol,
-            state,
-            rng,
-            max_rounds=max_rounds,
-            record_traces=record_traces,
-            check_invariants=check_invariants,
-            on_round=on_round,
-        )
-
-    pot = _TraceBuffer() if record_traces else None
-    over = _TraceBuffer() if record_traces else None
-    move = _TraceBuffer() if record_traces else None
-    peak = _TraceBuffer() if record_traces else None
-
-    total_migrations = 0
-    total_weight_moved = 0.0
-    rounds = 0
-    # The protocols carry post-round load vectors in StepStats, so the
-    # balance test only recomputes loads from scratch before round one
-    # and for protocols that do not provide the aggregate.  The bound is
-    # the effective capacity s_r * T_r (= the threshold when uniform).
-    bound = state.capacity_vector() + state.atol
-    loads = state.loads()
-    balanced = bool(np.all(loads <= bound))
-
-    while not balanced and rounds < max_rounds:
-        stats = protocol.step(state, rng)
-        rounds += 1
-        total_migrations += stats.movers
-        total_weight_moved += stats.moved_weight
-        if record_traces:
-            pot.append(stats.potential_before)
-            over.append(stats.overloaded_before)
-            move.append(stats.movers)
-            peak.append(stats.max_load_before)
-        if check_invariants:
-            state.check_invariants()
-        loads = (
-            stats.loads_after
-            if stats.loads_after is not None
-            else state.loads()
-        )
-        balanced = bool(np.all(loads <= bound))
-        if on_round is not None and on_round(rounds, state, stats) is False:
-            break
-
-    return RunResult(
-        balanced=balanced,
-        rounds=rounds,
-        final_loads=loads,
-        threshold=state.threshold,
-        total_migrations=total_migrations,
-        total_migrated_weight=total_weight_moved,
-        potential_trace=pot.array() if record_traces else None,
-        overloaded_trace=over.array() if record_traces else None,
-        movers_trace=move.array() if record_traces else None,
-        max_load_trace=peak.array() if record_traces else None,
-        protocol_name=protocol.name,
-        speeds=state.speeds,
+    return run_rounds(
+        _StateVerbs(protocol, state, rng),
+        max_rounds,
+        record_traces=record_traces,
+        check_invariants=check_invariants,
+        on_round=on_round,
     )
 
 
-def _simulate_dynamic(
-    protocol: Protocol,
-    state: SystemState,
-    rng: np.random.Generator,
+def run_rounds(
+    verbs: RoundVerbs,
     max_rounds: int,
-    record_traces: bool,
-    check_invariants: bool,
-    on_round: Callable[[int, SystemState, StepStats], object] | None,
+    record_traces: bool = False,
+    check_invariants: bool = False,
+    on_round: Callable[[int, SystemState, StepStats], object] | None = None,
 ) -> RunResult:
-    """The online variant of :func:`simulate`.
-
-    Round ``t`` (1-based): remove tasks departing at ``t``, insert the
-    schedule's round-``t`` arrivals, recompute the threshold if the
-    population changed (and the schedule carries a policy), then run one
-    protocol round.  The run ends when the schedule is exhausted *and*
-    the system is balanced — with no events at all this is exactly the
-    one-shot termination rule, and the loop body matches the one-shot
-    loop operation for operation (the bit-equivalence contract).
-    """
+    """The dense round loop over ``verbs`` (see :func:`simulate` for the
+    options and the module docstring for the round contract)."""
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be non-negative")
+    protocol, state = verbs.protocol, verbs.state
+    protocol.validate_state(state)
+    ids = verbs.task_ids()  # first: a router syncs its deferred ops
     sched = state.dynamics
+    series = (
+        [_TraceBuffer() for _ in range(4)] if sched is not None else None
+    )
+    if sched is None:
+        sched = DynamicsSchedule.empty(state.m)
+    traces = [_TraceBuffer() for _ in range(4)] if record_traces else None
 
-    pot = _TraceBuffer() if record_traces else None
-    over = _TraceBuffer() if record_traces else None
-    move = _TraceBuffer() if record_traces else None
-    peak = _TraceBuffer() if record_traces else None
-    live_buf = _TraceBuffer()
-    weight_buf = _TraceBuffer()
-    span_buf = _TraceBuffer()
-    viol_buf = _TraceBuffer()
+    # Departure buckets: round -> (ids, weights) of the tasks leaving
+    # then, so a round retires its departures with one dict pop instead
+    # of an O(m) scan.  Ids are bucketed in ascending order (initial
+    # population first, arrivals as they are ingested) — the state's
+    # task order — so each round's departed weight sums the same
+    # operands in the same order as a positional scan would.  Round
+    # ``t``'s bucket is popped before its arrivals are bucketed, so a
+    # degenerate depart-at-arrival-round task never departs.
+    buckets: dict[int, tuple[list[int], list[float]]] = {}
 
-    # departure rounds of the *live* population, aligned with task order
-    depart = sched.initial_depart.copy()
+    def bucket(
+        ids: np.ndarray, departs: np.ndarray, weights: np.ndarray
+    ) -> None:
+        triples = zip(ids.tolist(), departs.tolist(), weights.tolist())
+        for tid, td, tw in triples:
+            if td >= INFINITE_LIFETIME:
+                continue
+            entry = buckets.get(td)
+            if entry is None:
+                buckets[td] = ([tid], [tw])
+            else:
+                entry[0].append(tid)
+                entry[1].append(tw)
+
+    # the initial population can be large and mostly immortal: filter
+    # it in one pass (arrival batches are small; the loop skips theirs)
+    due = np.flatnonzero(sched.initial_depart < INFINITE_LIFETIME)
+    bucket(ids[due], sched.initial_depart[due], state.weights[due])
     arrive_round = sched.arrive_round
-    ptr = 0  # arrivals consumed so far
+    n_arrivals = int(arrive_round.shape[0])
+    ptr = 0  # arrivals ingested so far
+    last_event = sched.last_event_round
 
     total_migrations = 0
     total_weight_moved = 0.0
     total_weight = float(state.weights.sum())
     rounds = 0
-    last_event = sched.last_event_round
+    # The bound is the effective capacity s_r * T_r plus tolerance; the
+    # verbs re-derive it when the schedule rethresholds.  The protocols
+    # carry post-round load vectors in StepStats, so loads are computed
+    # afresh only before round one (and for protocols that do not
+    # provide the aggregate).  One comparison per round both decides
+    # balance and counts violations: no load can be NaN (every
+    # ingestion point validates weights), so ``loads > bound`` is the
+    # exact complement of ``loads <= bound``.
     bound = state.capacity_vector() + state.atol
     loads = state.loads()
-    balanced = bool(np.all(loads <= bound))
+    violations = np.count_nonzero(loads > bound)
 
     while rounds < max_rounds:
         t = rounds + 1
-        if balanced and t > last_event:
-            break
+        if t > last_event:
+            if not violations:
+                break
+        else:
+            changed = False
+            entry = buckets.pop(t, None)
+            if entry is not None:
+                total_weight -= float(np.asarray(entry[1]).sum())
+                verbs.depart(np.asarray(entry[0], dtype=np.int64))
+                changed = True
+            if ptr < n_arrivals and arrive_round[ptr] <= t:
+                hi = int(np.searchsorted(arrive_round, t, side="right"))
+                w_new = sched.arrive_weight[ptr:hi]
+                total_weight += float(w_new.sum())
+                places = sched.arrive_place[ptr:hi]
+                new_ids = verbs.submit_many(w_new, places)
+                bucket(new_ids, sched.arrive_depart[ptr:hi], w_new)
+                ptr = hi
+                changed = True
+            if changed and sched.policy is not None:
+                bound = verbs.rethreshold(sched.policy)
 
-        changed = False
-        dep = np.flatnonzero(depart == t)
-        if dep.size:
-            total_weight -= float(state.weights[dep].sum())
-            state.remove_tasks(dep)
-            depart = np.delete(depart, dep)
-            changed = True
-        hi = int(np.searchsorted(arrive_round, t, side="right"))
-        if hi > ptr:
-            w_new = sched.arrive_weight[ptr:hi]
-            total_weight += float(w_new.sum())
-            state.add_tasks(w_new, sched.arrive_place[ptr:hi])
-            depart = np.concatenate([depart, sched.arrive_depart[ptr:hi]])
-            ptr = hi
-            changed = True
-        if changed and sched.policy is not None and state.m:
-            state.threshold = sched.policy.compute_for(
-                state.weights, state.n, speeds=state.speeds
-            )
-            bound = state.capacity_vector() + state.atol
-
-        stats = protocol.step(state, rng)
+        stats = verbs.tick()
         rounds += 1
         total_migrations += stats.movers
         total_weight_moved += stats.moved_weight
-        if record_traces:
-            pot.append(stats.potential_before)
-            over.append(stats.overloaded_before)
-            move.append(stats.movers)
-            peak.append(stats.max_load_before)
+        if traces is not None:
+            traces[0].append(stats.potential_before)
+            traces[1].append(stats.overloaded_before)
+            traces[2].append(stats.movers)
+            traces[3].append(stats.max_load_before)
         if check_invariants:
             state.check_invariants()
         loads = (
@@ -347,31 +401,37 @@ def _simulate_dynamic(
             if stats.loads_after is not None
             else state.loads()
         )
-        balanced = bool(np.all(loads <= bound))
-
-        live_buf.append(state.m)
-        weight_buf.append(total_weight)
-        norm = loads if state.speeds is None else loads / state.speeds
-        span_buf.append(float(norm.max()) if state.n else 0.0)
-        viol_buf.append(int((loads > bound).sum()))
+        violations = np.count_nonzero(loads > bound)
+        if series is not None:
+            series[0].append(state.m)
+            series[1].append(total_weight)
+            norm = loads if state.speeds is None else loads / state.speeds
+            series[2].append(float(norm.max()) if state.n else 0.0)
+            series[3].append(violations)
         if on_round is not None and on_round(rounds, state, stats) is False:
             break
 
+    pot, over, move, peak = (
+        [b.array() for b in traces] if traces else [None] * 4
+    )
+    live, weight, span, viol = (
+        [b.array() for b in series] if series else [None] * 4
+    )
     return RunResult(
-        balanced=balanced,
+        balanced=not violations,
         rounds=rounds,
         final_loads=loads,
         threshold=state.threshold,
         total_migrations=total_migrations,
         total_migrated_weight=total_weight_moved,
-        potential_trace=pot.array() if record_traces else None,
-        overloaded_trace=over.array() if record_traces else None,
-        movers_trace=move.array() if record_traces else None,
-        max_load_trace=peak.array() if record_traces else None,
+        potential_trace=pot,
+        overloaded_trace=over,
+        movers_trace=move,
+        max_load_trace=peak,
         protocol_name=protocol.name,
         speeds=state.speeds,
-        live_tasks_trace=live_buf.array(),
-        total_weight_trace=weight_buf.array(),
-        makespan_trace=span_buf.array(),
-        violation_trace=viol_buf.array(),
+        live_tasks_trace=live,
+        total_weight_trace=weight,
+        makespan_trace=span,
+        violation_trace=viol,
     )

@@ -43,6 +43,7 @@ from .thresholds import (
     effective_capacity,
     feasible_threshold,
     validate_speeds,
+    validate_weights,
 )
 
 if TYPE_CHECKING:
@@ -80,8 +81,8 @@ class SystemState:
     dynamics:
         Optional compiled :class:`~repro.workloads.dynamics.\
 DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
-        default) is the paper's one-shot model; the simulator dispatches
-        on this field and the static path is untouched.
+        default) is the paper's one-shot model, which the round loops
+        run as the empty schedule.
     """
 
     n: int
@@ -99,14 +100,12 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
     def __post_init__(self) -> None:
         if self.speeds is not None:
             self.speeds = validate_speeds(self.speeds, self.n)
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        self.weights = validate_weights(self.weights)
         self.resource = np.ascontiguousarray(self.resource, dtype=np.int64)
         self.seq = np.ascontiguousarray(self.seq, dtype=np.int64)
         m = self.weights.shape[0]
         if self.resource.shape != (m,) or self.seq.shape != (m,):
             raise ValueError("weights, resource and seq must share length m")
-        if m and self.weights.min() <= 0:
-            raise ValueError("task weights must be strictly positive")
         if m and (self.resource.min() < 0 or self.resource.max() >= self.n):
             raise ValueError("a task sits on a resource out of range")
         if np.unique(self.seq).shape[0] != m:
@@ -353,15 +352,13 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
         arrival burst may legitimately make the current threshold
         infeasible until the policy is recomputed (or tasks depart).
         """
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = validate_weights(weights)
         resources = np.asarray(resources, dtype=np.int64)
         if weights.shape != resources.shape or weights.ndim != 1:
             raise ValueError("weights and resources must be 1-d and match")
         k = weights.shape[0]
         if k == 0:
             return
-        if weights.min() <= 0:
-            raise ValueError("task weights must be strictly positive")
         if resources.min() < 0 or resources.max() >= self.n:
             raise ValueError("arrival resource out of range")
         self.weights = np.concatenate([self.weights, weights])

@@ -49,10 +49,12 @@ capacity of the per-resource normalised thresholds
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "ThresholdPolicy",
@@ -64,7 +66,37 @@ __all__ = [
     "effective_capacity",
     "feasible_threshold",
     "validate_speeds",
+    "validate_weight",
+    "validate_weights",
 ]
+
+
+def validate_weights(
+    weights: ArrayLike, what: str = "task weight"
+) -> np.ndarray:
+    """Coerce weights to contiguous float64; reject any that is not a
+    finite positive number.
+
+    The one ingestion check for task weights (state construction,
+    ``add_tasks``, the router's verbs, compiled schedules, the trace
+    loader).  It is NaN-safe: ``w <= 0`` is False for NaN, so the
+    bounds are tested in their positive form.
+    """
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if w.size and not (0 < w.min() and w.max() < np.inf):
+        bad = w[~((w > 0) & (w < np.inf))].flat[0]
+        raise ValueError(f"{what} must be a positive number, not {bad}")
+    return w
+
+
+def validate_weight(weight: float, what: str = "task weight") -> float:
+    """:func:`validate_weights` for one weight, returned as a Python
+    float without the array round trip (which would cost the scalar
+    router verbs ~5 us per call)."""
+    w = float(weight)
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"{what} must be a positive number, not {w}")
+    return w
 
 
 def validate_speeds(speeds: np.ndarray, n: int) -> np.ndarray:
@@ -72,9 +104,7 @@ def validate_speeds(speeds: np.ndarray, n: int) -> np.ndarray:
     s = np.ascontiguousarray(speeds, dtype=np.float64)
     if s.shape != (n,):
         raise ValueError(f"speeds must have shape ({n},), got {s.shape}")
-    if s.size and s.min() <= 0:
-        raise ValueError("resource speeds must be strictly positive")
-    return s
+    return validate_weights(s, "resource speed")
 
 
 def effective_capacity(

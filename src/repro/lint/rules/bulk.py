@@ -4,9 +4,9 @@
 NumPy probe waves; a Python loop that calls the scalar verbs once per
 task reintroduces the per-element interpreter overhead the kernel
 exists to remove (PR 10 measured the scalar loop at ~4k decisions/s
-vs ~20k+ bulk).  The *sanctioned* scalar sites — the kernel's own
-fallback for batches it cannot express, and replay's reference
-ingestion path — are escape-hatched with ``# lint: allow-bulk``.
+vs ~20k+ bulk).  The *sanctioned* scalar site — the kernel's own
+fallback for batches it cannot express — is escape-hatched with
+``# lint: allow-bulk``.
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ class BulkBypass(Rule):
         "path it serves."
     )
     sanctioned = (
-        "Batch through choose_many()/submit_many().  The two "
-        "sanctioned scalar sites — choose_many's fallback for batches "
-        "the kernel cannot express, and replay's scalar reference "
-        "ingestion path — carry `# lint: allow-bulk` with a "
+        "Batch through choose_many()/submit_many().  The sanctioned "
+        "scalar site — choose_many's fallback for batches the kernel "
+        "cannot express — carries `# lint: allow-bulk` with a "
         "justification comment."
     )
     scope = ("repro/router/",)

@@ -40,7 +40,9 @@ Replay — driving a compiled
 :class:`~repro.workloads.dynamics.DynamicsSchedule` through the router
 round by round, bit-for-bit equal to
 :func:`~repro.core.simulator.simulate` on the same seed — lives in
-:mod:`repro.router.replay`.
+:mod:`repro.router.replay`: it runs the engine's round loop with the
+router's ``task_ids``/``depart``/``submit_many``/``rethreshold``/
+``tick`` as its verbs.
 
 Candidate-set sources are whatever the protocol already carries: an
 explicit :class:`~repro.graphs.random_walk.RandomWalk` or an implicit
@@ -64,6 +66,7 @@ from ..core.protocols.hybrid import HybridProtocol
 from ..core.protocols.resource_controlled import ResourceControlledProtocol
 from ..core.protocols.user_controlled import UserControlledProtocol
 from ..core.state import SystemState
+from ..core.thresholds import validate_weight, validate_weights
 from .bulk import (
     DrawBuffer,
     Walk,
@@ -459,9 +462,7 @@ class Router:
         effective capacity after the task lands.
         """
         t0 = self._clock()
-        w = float(weight)
-        if w <= 0:
-            raise ValueError("task weight must be strictly positive")
+        w = validate_weight(weight)
         n = self.state.n
         if origin is not None and not 0 <= origin < n:
             raise ValueError(f"origin resource {origin} out of range")
@@ -544,12 +545,10 @@ class Router:
         decision (timing sits outside the bit-identity contract).
         """
         t0 = self._clock()
-        w = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
+        w = validate_weights(weights).reshape(-1)
         k = int(w.shape[0])
         if k == 0:
             return []
-        if float(w.min()) <= 0:
-            raise ValueError("task weight must be strictly positive")
         n = self.state.n
         org: np.ndarray | None = None
         if origins is not None:
@@ -746,9 +745,7 @@ class Router:
         The ingestion verb of trace replay and of upstream schedulers
         that already decided the destination.
         """
-        w = float(weight)
-        if w <= 0:
-            raise ValueError("task weight must be strictly positive")
+        w = validate_weight(weight)
         if not 0 <= resource < self.state.n:
             raise ValueError(f"resource {resource} out of range")
         self._ingested += 1
@@ -765,10 +762,10 @@ class Router:
         ordered bulk insert into the arrival buffer, state-identical
         to submitting the pairs one by one (same ids, same buffered
         order, same float load sums — ``np.add.at`` accumulates
-        repeated resources sequentially).  Replay's bulk mode feeds
-        each round's arrivals through here.
+        repeated resources sequentially).  Replay feeds each round's
+        arrivals through here.
         """
-        w = np.ascontiguousarray(weights, dtype=np.float64).reshape(-1)
+        w = validate_weights(weights).reshape(-1)
         r = np.ascontiguousarray(resources, dtype=np.int64).reshape(-1)
         if w.shape != r.shape:
             raise ValueError(
@@ -778,8 +775,6 @@ class Router:
         k = int(w.shape[0])
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        if float(w.min()) <= 0:
-            raise ValueError("task weight must be strictly positive")
         if int(r.min()) < 0 or int(r.max()) >= self.state.n:
             raise ValueError("resource out of range")
         ids = np.arange(self._next_id, self._next_id + k, dtype=np.int64)
@@ -902,8 +897,9 @@ class Router:
         if self._profile:
             self.phase_seconds["sync"] += self._clock() - t0
 
-    def rethreshold(self, policy: ThresholdPolicy) -> None:
-        """Recompute the threshold from the live workload.
+    def rethreshold(self, policy: ThresholdPolicy) -> np.ndarray:
+        """Recompute the threshold from the live workload; return the
+        new balance bound (effective capacity plus tolerance).
 
         ``policy`` is a :class:`~repro.core.thresholds.ThresholdPolicy`;
         the effective-capacity view used by subsequent decisions is
@@ -912,12 +908,12 @@ class Router:
         """
         self.flush()
         state = self.state
-        if not state.m:
-            return
-        state.threshold = policy.compute_for(
-            state.weights, state.n, speeds=state.speeds
-        )
-        self.refresh_capacity()
+        if state.m:
+            state.threshold = policy.compute_for(
+                state.weights, state.n, speeds=state.speeds
+            )
+            self.refresh_capacity()
+        return self._bound.copy()
 
     def refresh_capacity(self) -> None:
         """Re-derive the per-resource admission bound from the state."""

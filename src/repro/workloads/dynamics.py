@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.thresholds import validate_weights
 from .weights import WeightDistribution
 
 __all__ = [
@@ -172,8 +173,8 @@ class DynamicsSchedule:
         self.arrive_round = np.ascontiguousarray(
             self.arrive_round, dtype=np.int64
         )
-        self.arrive_weight = np.ascontiguousarray(
-            self.arrive_weight, dtype=np.float64
+        self.arrive_weight = validate_weights(
+            self.arrive_weight, "arrival weight"
         )
         self.arrive_place = np.ascontiguousarray(
             self.arrive_place, dtype=np.int64
@@ -192,8 +193,6 @@ class DynamicsSchedule:
             == k
         ):
             raise ValueError("arrival arrays must share one length")
-        if k and self.arrive_weight.min() <= 0:
-            raise ValueError("arrival weights must be strictly positive")
         if k and np.any(np.diff(self.arrive_round) < 0):
             raise ValueError("arrive_round must be sorted ascending")
         if k and self.arrive_round.min() < 1:
@@ -216,6 +215,20 @@ class DynamicsSchedule:
     @property
     def total_arrivals(self) -> int:
         return int(self.arrive_round.shape[0])
+
+    @classmethod
+    def empty(cls, m0: int) -> DynamicsSchedule:
+        """The schedule of a one-shot state of ``m0`` tasks: no arrival,
+        no departure, ever."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(
+            horizon=0,
+            arrive_round=none,
+            arrive_weight=np.empty(0),
+            arrive_place=none,
+            arrive_depart=none,
+            initial_depart=np.full(m0, INFINITE_LIFETIME, dtype=np.int64),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..core.thresholds import validate_weight
 from .dynamics import TraceDynamics
 
 __all__ = ["dump_trace_jsonl", "load_trace_jsonl"]
@@ -89,8 +90,12 @@ def _load_arrival(event, path, line_no, arrivals, by_id) -> None:
         raise ValueError(
             f"{path}:{line_no}: arrival round must be an integer >= 1"
         )
-    if not isinstance(w, (int, float)) or w <= 0:
+    if not isinstance(w, (int, float)):
         raise ValueError(f"{path}:{line_no}: weight must be a positive number")
+    try:
+        validate_weight(w, "weight")
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
     if not isinstance(r, int) or r < 0:
         raise ValueError(
             f"{path}:{line_no}: resource must be a non-negative integer"

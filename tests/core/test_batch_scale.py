@@ -1,29 +1,17 @@
-"""Scale plumbing of the batched engine: index dtypes and fast_math.
+"""Scale plumbing of the batched engine: index dtypes.
 
 The batched hot loop tightens its task-slot index arrays to int32
 whenever every representable value fits (halving the bandwidth of the
-permutation-heavy merge), and ``fast_math=True`` waives the bit-exact
-accumulation contract for two cheaper reductions.  These tests pin the
-dtype selection boundary, the ``BatchState`` wiring, and the fast_math
-semantics: exact equality where the arithmetic is exact anyway (unit
-weights), statistical agreement where it is not.
+permutation-heavy merge).  These tests pin the dtype selection boundary
+and the ``BatchState`` wiring.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro import (
-    AboveAverageThreshold,
-    BatchedBackend,
-    SystemState,
-    run_trials,
-    summarize_runs,
-)
+from repro import AboveAverageThreshold, SystemState
 from repro.core.batch import BatchState, _index_dtype
-from repro.experiments import UserControlledSetup
-from repro.workloads import UniformRangeWeights, UniformWeights
 
 
 def test_index_dtype_boundary():
@@ -61,73 +49,3 @@ def test_batch_state_uses_tight_dtype():
     assert batch._scratch_ws.shape[0] == batch.A * batch.m
     assert batch._scratch_cum.shape == (batch.A, batch.m)
     assert batch._order_buf.shape[0] == batch.A * batch.m
-
-
-def test_fast_math_defaults_off():
-    assert BatchedBackend().fast_math is False
-    assert BatchedBackend(fast_math=True).fast_math is True
-    batch = BatchState(_states(2))
-    assert batch.fast_math is False
-    assert batch.loads_cache is None
-
-
-def test_fast_math_exact_on_unit_weights():
-    """With unit weights every reduction sums small integers, which
-    float64 represents exactly — so fast_math's reordered accumulation
-    must be bit-identical to the default mode."""
-    setup = UserControlledSetup(
-        n=6, m=40, distribution=UniformWeights(1.0)
-    )
-    default = run_trials(setup, 6, seed=9, backend="batched")
-    fast = run_trials(
-        setup, 6, seed=9, backend=BatchedBackend(fast_math=True)
-    )
-    for a, b in zip(default, fast):
-        assert a.rounds == b.rounds
-        assert a.balanced == b.balanced
-        assert np.array_equal(a.final_loads, b.final_loads)
-        assert a.total_migrated_weight == b.total_migrated_weight
-
-
-def test_fast_math_statistically_equivalent_on_float_weights():
-    """With real-valued weights fast_math may differ in the last ulp
-    (that is the waiver), but the balancing-time statistics must agree
-    closely over a small ensemble."""
-    setup = UserControlledSetup(
-        n=8, m=80, distribution=UniformRangeWeights(1.0, 6.0)
-    )
-    default = summarize_runs(
-        run_trials(setup, 20, seed=31, backend="batched")
-    )
-    fast = summarize_runs(
-        run_trials(
-            setup, 20, seed=31, backend=BatchedBackend(fast_math=True)
-        )
-    )
-    assert fast.balanced_trials == default.balanced_trials
-    assert fast.mean_rounds == pytest.approx(
-        default.mean_rounds, rel=0.25
-    )
-
-
-def test_fast_math_on_dynamics_smoke():
-    """Dynamic batches never publish a loads cache (population events
-    would stale it); fast_math still runs and completes."""
-    from repro.workloads import InfiniteLifetimes, PoissonDynamics
-
-    setup = UserControlledSetup(
-        n=6,
-        m=20,
-        distribution=UniformWeights(1.0),
-        dynamics=PoissonDynamics(
-            rate=1.0, horizon=20, lifetimes=InfiniteLifetimes()
-        ),
-    )
-    default = run_trials(setup, 4, seed=2, backend="batched")
-    fast = run_trials(
-        setup, 4, seed=2, backend=BatchedBackend(fast_math=True)
-    )
-    # unit weights again: exact agreement even under the stream
-    for a, b in zip(default, fast):
-        assert a.rounds == b.rounds
-        assert np.array_equal(a.final_loads, b.final_loads)

@@ -1,0 +1,128 @@
+"""Malformed input is rejected at the boundary, by every entry point.
+
+Weights: ``w <= 0`` is False for NaN, so a positivity check spelled that
+way lets NaN through, and a NaN load then reads as neither balanced
+(``loads <= bound``) nor overloaded (``loads > bound``).  Every
+ingestion point goes through ``validate_weights`` (finite and > 0).
+
+Round budgets: every engine rejects a negative ``max_rounds`` instead
+of reporting a censored run of zero rounds.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro import (
+    BatchedBackend,
+    DenseBackend,
+    ProcessBackend,
+    Router,
+    ShardedBackend,
+    SystemState,
+    UserControlledProtocol,
+    replay_setup,
+)
+from repro.core.thresholds import FixedThreshold, validate_speeds
+from repro.study.setups import UserControlledSetup
+from repro.workloads import UniformRangeWeights, load_trace_jsonl
+from repro.workloads.dynamics import DynamicsSchedule
+
+
+def _state() -> SystemState:
+    return SystemState.from_workload(
+        np.array([1.0, 2.0, 3.0]),
+        np.array([0, 1, 2]),
+        4,
+        FixedThreshold(10.0),
+    )
+
+
+def _router() -> Router:
+    return Router(
+        UserControlledProtocol(alpha=1.0),
+        _state(),
+        np.random.default_rng(0),
+    )
+
+
+def _schedule(w: float) -> DynamicsSchedule:
+    one = np.array([1])
+    return DynamicsSchedule(
+        horizon=1,
+        arrive_round=one,
+        arrive_weight=np.array([w]),
+        arrive_place=np.array([0]),
+        arrive_depart=np.array([5]),
+        initial_depart=np.array([], dtype=np.int64),
+    )
+
+
+VERBS = {
+    "SystemState": lambda w: SystemState(
+        n=2,
+        weights=np.array([1.0, w]),
+        resource=np.array([0, 1]),
+        seq=np.array([0, 1]),
+        threshold=10.0,
+    ),
+    "add_tasks": lambda w: _state().add_tasks(np.array([w]), np.array([0])),
+    "choose_resource": lambda w: _router().choose_resource(w),
+    "choose_many": lambda w: _router().choose_many([1.0, w]),
+    "submit": lambda w: _router().submit(w, 0),
+    "submit_many": lambda w: _router().submit_many([1.0, w], [0, 1]),
+    "DynamicsSchedule": _schedule,
+    "validate_speeds": lambda w: validate_speeds(np.array([1.0, w]), 2),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_every_ingestion_verb_rejects_nan_and_inf(verb, bad):
+    with pytest.raises(ValueError, match="must be a positive number"):
+        VERBS[verb](bad)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_trace_with_non_finite_weight_raises_at_load_time(tmp_path, token):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        f'{{"round": 2, "weight": {token}, "resource": 0}}\n'
+        '{"round": 3, "weight": 4.0, "resource": 1}\n'
+    )
+    with pytest.raises(
+        ValueError, match=r":1: weight must be a positive number"
+    ):
+        load_trace_jsonl(path)
+
+
+SETUP = UserControlledSetup(
+    n=10, m=50, distribution=UniformRangeWeights(1.0, 10.0)
+)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: DenseBackend().run_trials(
+            SETUP, [np.random.SeedSequence(3)], max_rounds=-5
+        ),
+        lambda: ProcessBackend(workers=2).run_trials(
+            SETUP, [np.random.SeedSequence(3)], max_rounds=-5
+        ),
+        lambda: BatchedBackend().run_trials(
+            SETUP, [np.random.SeedSequence(3)], max_rounds=-5
+        ),
+        lambda: ShardedBackend(workers=2).run_trials(
+            SETUP, [np.random.SeedSequence(3)], max_rounds=-5
+        ),
+        lambda: replay_setup(SETUP, np.random.SeedSequence(3), max_rounds=-5),
+    ],
+    ids=["serial", "process", "batched", "sharded", "replay"],
+)
+def test_negative_max_rounds_rejected_by_every_engine(run):
+    with pytest.raises(ValueError, match="max_rounds must be non-negative"):
+        run()

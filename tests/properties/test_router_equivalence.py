@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 from repro import (
+    BatchedBackend,
     Router,
     TorusNeighbors,
     replay,
     replay_setup,
+    run_single_trial,
     simulate,
     torus_graph,
 )
@@ -132,7 +134,13 @@ def test_router_replay_matches_engine_bit_for_bit(label):
 
 
 @pytest.mark.parametrize(
-    "label", ["user-poisson", "resource-explicit", "hybrid-probabilistic"]
+    "label",
+    [
+        "user-poisson",
+        "resource-explicit",
+        "hybrid-probabilistic",
+        "user-oneshot",
+    ],
 )
 def test_replay_time_series_match_engine(label):
     setup = CASES[label]
@@ -147,9 +155,8 @@ def test_replay_time_series_match_engine(label):
     )
     assert np.array_equal(report.makespan_trace, engine.makespan_trace)
     assert np.array_equal(report.violation_trace, engine.violation_trace)
-    view = report.to_run_result()
-    assert view.time_in_violation == engine.time_in_violation
-    assert view.rebalance_churn == engine.rebalance_churn
+    assert report.time_in_violation == engine.time_in_violation
+    assert report.rebalance_churn == engine.rebalance_churn
 
 
 def test_replay_counts_migrations_like_engine():
@@ -161,25 +168,45 @@ def test_replay_counts_migrations_like_engine():
     assert report.metrics.ticks == engine.rounds
 
 
-def test_replay_censors_at_max_rounds_like_engine():
-    setup = CASES["user-poisson"]
-    engine, _ = engine_trial_bounded(setup, children(1)[0], 10)
-    report = replay_setup(setup, children(1)[0], max_rounds=10)
-    assert report.rounds == engine.rounds == 10
-    assert report.balanced == engine.balanced
-    assert np.array_equal(report.final_loads, engine.final_loads)
-
-
-def engine_trial_bounded(setup, seed_seq, max_rounds):
-    setup_seed, sim_seed = seed_seq.spawn(2)
-    protocol, state = setup(np.random.default_rng(setup_seed))
-    result = simulate(
-        protocol,
-        state,
-        np.random.default_rng(sim_seed),
-        max_rounds=max_rounds,
+def outcome(result) -> tuple:
+    """Everything a round loop reports, as comparable bytes."""
+    series = (
+        result.live_tasks_trace,
+        result.total_weight_trace,
+        result.makespan_trace,
+        result.violation_trace,
     )
-    return result, state
+    return (
+        result.rounds,
+        result.balanced,
+        result.final_loads.tobytes(),
+        result.total_migrations,
+        result.total_migrated_weight,
+        tuple(None if s is None else s.tobytes() for s in series),
+    )
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1, 7, 10, MAX_ROUNDS])
+@pytest.mark.parametrize(
+    "label", ["user-oneshot", "user-poisson", "resource-explicit"]
+)
+def test_replay_censors_at_max_rounds_like_engine(label, max_rounds):
+    """Dense simulate, a batched chunk and replay run one round contract,
+    so they agree bit for bit at the loop's edges: no round, one round,
+    a budget that censors mid-run, and an unbounded one."""
+    setup = CASES[label]
+    dense = [run_single_trial(setup, s, max_rounds) for s in children(3)]
+    batched = BatchedBackend().run_trials(
+        setup, children(3), max_rounds=max_rounds
+    )
+    replayed = [replay_setup(setup, s, max_rounds) for s in children(3)]
+    for engine, chunk, report in zip(dense, batched, replayed):
+        assert outcome(chunk) == outcome(engine)
+        assert outcome(report) == outcome(engine)
+        assert engine.rounds <= max_rounds
+        if not engine.balanced:  # censored: the budget ran out
+            assert engine.rounds == max_rounds
+        assert engine.dynamic == (label != "user-oneshot")
 
 
 def test_replay_twice_is_deterministic():

@@ -151,7 +151,6 @@ def test_constructor_validation():
         ShardedBackend(workers=-2)
     with pytest.raises(ValueError):
         ShardedBackend(workers=2, max_batch=0)
-    assert ShardedBackend(workers=2, fast_math=True).fast_math is True
 
 
 def test_workers_flag_conflicts_rejected():
