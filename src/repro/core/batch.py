@@ -12,15 +12,18 @@ Two ideas make this fast *and* bit-for-bit identical to the dense path:
 
 1. **Incremental stack order.**  Re-sorting ``B * m`` keys every round
    would cost more than the dense path's per-trial sorts.  Instead the
-   engine sorts once at construction and afterwards *merges*: movers are
-   deleted from the maintained ``(trial, resource, height)`` order and
-   re-inserted after the last survivor of their destination stack (new
-   arrivals always receive higher stack keys than everything present),
-   ordered among themselves by their arrival permutation.  Because stack
-   keys are unique, the merged permutation equals what a fresh
-   ``lexsort`` would produce, so per-trial heights — computed as the
-   same row-wise ``cumsum``/``base`` subtraction as
-   :func:`~repro.core.stack.partition_stacks` — match the dense engine
+   engine sorts once at construction and afterwards *merges*: every
+   trial's stacks fill exactly its ``m`` positions of the maintained
+   ``(trial, resource, height)`` order, so a running count over the
+   stacks places each mover directly on top of its destination stack's
+   stayers (new arrivals always receive higher stack keys than
+   everything present), ordered among the stack's movers by their
+   arrival permutation; the stayers keep their relative order in the
+   positions left over.  Because stack keys are unique, the merged
+   permutation equals what a fresh ``lexsort`` would produce, so
+   per-trial heights — computed as the same row-wise ``cumsum``/
+   ``base`` subtraction as :func:`~repro.core.stack.partition_stacks`,
+   up to the end of the last overloaded stack — match the dense engine
    exactly.
 
 2. **Per-trial generators, dense call order.**  Each trial keeps its own
@@ -94,11 +97,11 @@ Two hot-loop economies keep the engine fast at the scale frontier
   change any float accumulation, and stack keys stay unique, so results
   are bit-identical either way; the fused merge sort key
   ``key * (m + 1) + arrival`` always computes in int64.
-* **Scratch reuse.**  The sorted-weight gather, the row-wise cumsum,
-  the merge output and the dynamic inverse-permutation all write into
-  buffers allocated once per chunk (the merge ping-pongs ``order``
-  against a twin buffer), so steady-state rounds allocate almost
-  nothing; static chunks never build the dynamic buffers.
+* **Scratch reuse.**  The row-wise cumsum, the merge output and the
+  dynamic inverse-permutation all write into buffers allocated once
+  per chunk (the merge ping-pongs ``order`` against a twin buffer), so
+  steady-state rounds reallocate none of them; static chunks never
+  build the dynamic buffers.
 
 Protocols opt into vectorisation by overriding
 :meth:`~repro.core.protocols.base.Protocol.step_batch` to accept a
@@ -211,10 +214,10 @@ def _run_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(key, values[run].sum())`` for each run of equal ``keys`` — one
     slice sum per run, the dense per-trial summation order."""
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    ends = np.r_[starts[1:], keys.size]
-    sums = [values[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())]
-    return keys[starts], np.array(sums)
+    starts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    bounds = [0, *starts, keys.size]
+    sums = [values[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+    return keys[bounds[:-1]], np.array(sums)
 
 
 class _ChunkEvents:
@@ -400,19 +403,20 @@ class BatchState:
         #: When False, kernels may skip the stats reductions that only
         #: feed traces (potential / overload count / max load).
         self.record_stats = False
-        self._scratch_arange = np.arange(A * m, dtype=self.idx)
-        self._scratch_keep = np.ones(A * m, dtype=bool)
         self._scratch_u = np.empty((A, m))
         self._scratch_indptr = np.zeros((A, stride + 1), dtype=np.int64)
-        # Round-persistent buffers: sorted-weight gather + row cumsum
-        # (every kernel, every round) and the merge ping-pong twin of
-        # ``order`` (see _merge_movers); the dynamic inverse permutation
-        # only exists for dynamic chunks — static ones never build it.
-        self._scratch_ws = np.empty(A * m)
+        # Round-persistent buffers: the row cumsum (every overloaded
+        # round) and the merge ping-pong twin of ``order`` (see
+        # _merge_movers); the dynamic inverse permutation and the
+        # arange it scatters only exist for dynamic chunks — static
+        # ones never build them.
         self._scratch_cum = np.empty((A, m))
         self._order_buf = np.empty(A * m, dtype=self.idx)
         self._scratch_inv = (
             np.empty(A * m, dtype=self.idx) if self.dynamic else None
+        )
+        self._scratch_arange = (
+            np.arange(A * m, dtype=self.idx) if self.dynamic else None
         )
 
     # ------------------------------------------------------------------
@@ -426,18 +430,19 @@ class BatchState:
             minlength=self.A * self.stride,
         ).reshape(self.A, self.stride)
 
-    def sorted_heights(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w_s, cum)``: weights in stack order and their row-wise
-        running sums — the same quantities the dense partition derives
-        per trial.  Both live in round-persistent scratch (valid until
-        the next call)."""
-        size = self.A * self.m
-        w_s = np.take(
-            self.w_task.ravel(), self.order, out=self._scratch_ws[:size]
-        )
+    def sorted_heights(self, L: int) -> np.ndarray:
+        """Row-wise running sums of the weights in stack order over the
+        first ``L`` stack positions of every row — the running sums the
+        dense partition derives per trial, whose first ``L`` entries do
+        not depend on anything after them.  Returns the round-persistent
+        ``(A, m)`` buffer with only its first ``L`` columns written
+        (valid until the next call)."""
         cum = self._scratch_cum[: self.A]
-        np.cumsum(w_s.reshape(self.A, self.m), axis=1, out=cum)
-        return w_s, cum
+        w_s = np.take(
+            self.w_task.ravel(), self.order.reshape(self.A, self.m)[:, :L]
+        )
+        np.cumsum(w_s, axis=1, out=cum[:, :L])
+        return cum
 
     def indptr(self) -> np.ndarray:
         """Per-trial CSR pointers into the stack order,
@@ -508,46 +513,45 @@ class BatchState:
 
         Shared by :meth:`apply_moves` (protocol migrations) and
         :meth:`apply_population_events` (dynamic arrivals/departures):
-        update ``key_task`` and ``counts``, delete the movers from the
-        maintained order and re-insert each after the last survivor of
-        its destination stack, ordered among themselves by ``arrival``
-        rank within equal keys.
+        update ``key_task`` and ``counts``, place each mover directly
+        on top of its destination stack's stayers, ordered among the
+        stack's movers by ``arrival`` rank, and let the stayers fill the
+        remaining positions in their old order.  Beyond one compress
+        and one masked assign of the stayers, the cost follows the
+        movers.
         """
         A, m = self.A, self.m
         stride = self.stride
         key_flat = self.key_task.ravel()
         key_old = key_flat[mov_abs]
         key_flat[mov_abs] = key_new
+        into = np.bincount(key_new, minlength=A * stride)
         self.counts += (
-            np.bincount(key_new, minlength=A * stride)
-            - np.bincount(key_old, minlength=A * stride)
+            into - np.bincount(key_old, minlength=A * stride)
         ).reshape(A, stride)
 
-        keep = self._scratch_keep
-        keep[mov_pos] = False
-        stay = self.order[keep]
-        keep[mov_pos] = True  # restore the scratch buffer
-        stay_keys = key_flat[stay]  # stayers' keys are unchanged by the move
-
         # Movers stack on top of their destination in arrival order:
-        # sort them by (destination key, arrival rank) and insert each
-        # after every surviving task with the same key.  Arrival ranks
-        # are <= m, so one fused integer key replaces a two-key lexsort.
+        # sort them by (destination key, arrival rank) — ranks are <= m,
+        # so one fused integer key replaces a two-key lexsort.  Stacks
+        # lie in key order and every trial's fill exactly its m
+        # positions (the parking column included), so the i-th mover
+        # lands after the stayers of every stack up to its own (a flat
+        # running count) and after the i movers sorted before it.
+        stay_end = np.cumsum(self.counts.ravel() - into)
         mov_sort = np.argsort(key_new * np.int64(m + 1) + arrival)
-        n_mov = mov_sort.shape[0]
-        n_stay = stay.shape[0]
-        ins = np.searchsorted(stay_keys, key_new[mov_sort], side="right")
-        # Stayer i shifts right by the number of movers inserted at or
-        # before it; ``ins`` is sorted, so the shift is a step function.
-        spans = np.diff(np.concatenate(([0], ins, [n_stay])))
-        shift = np.repeat(np.arange(n_mov + 1, dtype=np.int64), spans)
+        new_pos = stay_end[key_new[mov_sort]] + np.arange(mov_sort.shape[0])
+
         # Ping-pong: write the merged permutation into the twin buffer
-        # and swap it with ``order`` (``stay`` is a boolean-index copy,
-        # so the two scatters below fully overwrite the buffer without
-        # reading it) — steady-state merges allocate nothing.
+        # and swap it with ``order``.  The stayers keep their relative
+        # order, so they fill every position no mover lands on; the two
+        # writes cover the buffer without reading it.
+        stay = np.ones(A * m, dtype=bool)
+        stay[mov_pos] = False
+        free = np.ones(A * m, dtype=bool)
+        free[new_pos] = False
         merged = self._order_buf[: A * m]
-        merged[self._scratch_arange[:n_stay] + shift] = stay
-        merged[ins + self._scratch_arange[:n_mov]] = mov_abs[mov_sort]
+        merged[free] = self.order[stay]
+        merged[new_pos] = mov_abs[mov_sort]
         self._order_buf = self.order
         self.order = merged
 
@@ -668,12 +672,10 @@ class BatchState:
             return
         self._rebase_rows_onto(self, rows)
         size = self.A * self.m
-        self._scratch_keep = self._scratch_keep[:size]
         self._scratch_u = self._scratch_u[: self.A]
         self._scratch_indptr = np.ascontiguousarray(
             self._scratch_indptr[: self.A]
         )
-        self._scratch_ws = self._scratch_ws[:size]
         self._scratch_cum = self._scratch_cum[: self.A]
         self._order_buf = self._order_buf[:size]
         if self.dynamic:
@@ -692,9 +694,9 @@ class BatchState:
         with :meth:`scatter`.
 
         The sub-batch *borrows* the parent's scratch buffers (prefix
-        views — the kernels leave them in their rest state after every
-        round), so step one extracted sub-batch at a time and do not
-        interleave it with stepping the parent.
+        views, written before they are read), so step one extracted
+        sub-batch at a time and do not interleave it with stepping the
+        parent.
         """
         sub = BatchState.__new__(BatchState)
         sub.n, sub.m = self.n, self.m
@@ -703,15 +705,15 @@ class BatchState:
         sub.record_stats = self.record_stats
         k = sub.A
         size = k * self.m
-        sub._scratch_arange = self._scratch_arange[:size]
-        sub._scratch_keep = self._scratch_keep[:size]
         sub._scratch_u = self._scratch_u[:k]
         sub._scratch_indptr = self._scratch_indptr[:k]
-        sub._scratch_ws = self._scratch_ws[:size]
         sub._scratch_cum = self._scratch_cum[:k]
         sub._order_buf = self._order_buf[:size]
         sub._scratch_inv = (
             self._scratch_inv[:size] if self.dynamic else None
+        )
+        sub._scratch_arange = (
+            self._scratch_arange[:size] if self.dynamic else None
         )
         return sub
 
@@ -1116,15 +1118,16 @@ class _Segments:
     ``ov_t`` / ``ov_r`` list the overloaded (trial row, resource) pairs
     in row-major order and ``seg_len`` their task counts; ``pos`` holds
     the stack-order positions of those tasks, ascending (grouped by
-    trial, then resource, then height), with their weights in ``w_sub``
-    and the below mask in ``below``; ``phi`` is each segment's
-    potential ``phi_r``.
+    trial, then resource, then height), with their absolute slots in
+    ``sub_abs``, their weights in ``w_sub`` and the below mask in
+    ``below``; ``phi`` is each segment's potential ``phi_r``.
     """
 
     ov_t: np.ndarray
     ov_r: np.ndarray
     seg_len: np.ndarray
     pos: np.ndarray
+    sub_abs: np.ndarray
     w_sub: np.ndarray
     below: np.ndarray
     phi: np.ndarray
@@ -1136,30 +1139,34 @@ def _overloaded_segments(
     """Partition the overloaded resources' stacks, and only those.
 
     Heights are computed exactly as the dense partition computes them
-    (running row sum minus the weight below the segment), and
-    ``below_weight`` accumulates each segment in stack order like the
-    dense ``bincount``, so ``phi`` matches it bit for bit.
+    (running row sum minus the weight below the segment), over the
+    stack positions up to the end of the last overloaded stack in any
+    row, and ``below_weight`` accumulates each segment in stack order
+    like the dense ``bincount``, so ``phi`` matches it bit for bit.
     """
     m = batch.m
-    w_s, cum = batch.sorted_heights()
     ov_t, ov_r = np.nonzero(overloaded)
+    n_seg = ov_t.shape[0]
     seg_len = batch.counts[ov_t, ov_r]
     seg_start = batch.indptr()[ov_t, ov_r]
+    cum = batch.sorted_heights(int((seg_start + seg_len).max())).ravel()
     start_abs = ov_t * m + seg_start
 
-    pos = np.repeat(start_abs, seg_len) + _segmented_arange(seg_len)
-    cum_flat = cum.ravel()
-    base_seg = np.where(seg_start > 0, cum_flat[start_abs - 1], 0.0)
-    inclusive = cum_flat[pos] - np.repeat(base_seg, seg_len)
-    below = inclusive <= np.repeat(batch.bound[ov_t, ov_r], seg_len)
+    # one arange over every candidate task, shifted per segment
+    first = np.cumsum(seg_len) - seg_len  # each segment's first candidate
+    pos = np.arange(int(seg_len.sum())) + (start_abs - first).repeat(seg_len)
+    base_seg = np.where(seg_start > 0, cum[start_abs - 1], 0.0)
+    inclusive = cum[pos] - base_seg.repeat(seg_len)
+    below = inclusive <= batch.bound[ov_t, ov_r].repeat(seg_len)
 
-    seg_id = np.repeat(np.arange(ov_t.shape[0], dtype=np.int64), seg_len)
-    w_sub = w_s[pos]
+    seg_id = np.arange(n_seg).repeat(seg_len)
+    sub_abs = batch.order[pos]
+    w_sub = batch.w_task.ravel()[sub_abs]
     below_weight = np.bincount(
-        seg_id[below], weights=w_sub[below], minlength=ov_t.shape[0]
+        seg_id[below], weights=w_sub[below], minlength=n_seg
     )
     phi = np.maximum(loads[ov_t, ov_r] - below_weight, 0.0)
-    return _Segments(ov_t, ov_r, seg_len, pos, w_sub, below, phi)
+    return _Segments(ov_t, ov_r, seg_len, pos, sub_abs, w_sub, below, phi)
 
 
 def _stats_before(
@@ -1251,15 +1258,13 @@ def user_step_batch(
         for row in np.flatnonzero(has_ov):
             rngs[row].random(out=u[row])
 
-    pos = seg.pos
-    sub_task = batch.order[pos]  # absolute slots of candidate tasks
-    mover_mask = u.ravel()[sub_task] < np.repeat(p_seg, seg.seg_len)
-    cand_abs = sub_task[mover_mask]
+    mover_mask = u.ravel()[seg.sub_abs] < p_seg.repeat(seg.seg_len)
+    cand_abs = seg.sub_abs[mover_mask]
     # The dense step lists movers in ascending task order per trial
     # (``flatnonzero``); absolute slots sort to exactly that.
     mov_sorter = np.argsort(cand_abs)
     mov_abs = cand_abs[mov_sorter]
-    mov_pos = pos[mover_mask][mov_sorter]
+    mov_pos = seg.pos[mover_mask][mov_sorter]
     mov_trial = mov_abs // m
     k = np.bincount(mov_trial, minlength=A)
 
@@ -1278,7 +1283,9 @@ def user_step_batch(
     total = mov_abs.shape[0]
     dest = np.empty(total, dtype=np.int64)
     arrival = np.empty(total, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(k)))
+    # Python ints: NumPy-integer sizes and slice bounds slow every
+    # draw and slice below
+    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
     w_mov = batch.w_task.ravel()[mov_abs]
     src = (
         batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
@@ -1287,7 +1294,7 @@ def user_step_batch(
     )
     fifo = proto.arrival_order != "random"
     for row in range(A):
-        lo, hi = offsets[row], offsets[row + 1]
+        lo, hi = bounds[row], bounds[row + 1]
         if lo == hi:
             continue
         rng = rngs[row]
@@ -1338,16 +1345,18 @@ def resource_step_batch(
 
     active = ~seg.below
     mov_pos = seg.pos[active]  # stack order, grouped by trial
-    mov_abs = batch.order[mov_pos]
+    mov_abs = seg.sub_abs[active]
     mov_trial = mov_abs // m
     k = np.bincount(mov_trial, minlength=A)
 
     # moved weight: the dense step sums the compressed sorted weights
     w_act = seg.w_sub[active]
-    offsets = np.concatenate(([0], np.cumsum(k)))
+    # Python ints: NumPy-integer sizes and slice bounds slow every
+    # draw and slice below
+    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
     moved_weight = np.zeros(A)
     for row in range(A):
-        lo, hi = offsets[row], offsets[row + 1]
+        lo, hi = bounds[row], bounds[row + 1]
         if lo != hi:
             moved_weight[row] = float(w_act[lo:hi].sum())
 
@@ -1365,7 +1374,7 @@ def resource_step_batch(
     arrival = np.empty(mov_abs.shape[0], dtype=np.int64)
     src = batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
     for row in range(A):
-        lo, hi = offsets[row], offsets[row + 1]
+        lo, hi = bounds[row], bounds[row + 1]
         if lo == hi:
             continue
         rng = rngs[row]

@@ -310,9 +310,7 @@ class ProportionalThresholds:
     def __post_init__(self) -> None:
         if not len(self.speeds):
             raise ValueError("need at least one resource speed")
-        arr = np.asarray(self.speeds, dtype=np.float64)
-        if arr.min() <= 0:
-            raise ValueError("speeds must be positive")
+        arr = validate_weights(self.speeds, "resource speed")
         if self.eps < 0:
             raise ValueError("eps must be non-negative")
         object.__setattr__(self, "_speeds_arr", arr)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.thresholds import validate_weights
+
 __all__ = [
     "first_fit_assignment",
     "lpt_assignment",
@@ -44,9 +46,7 @@ def first_fit_assignment(
     Raises ``ValueError`` if an explicit, smaller ``capacity`` makes
     some task unplaceable.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size and w.min() <= 0:
-        raise ValueError("weights must be positive")
+    w = validate_weights(weights)
     cap = proper_capacity(w, n) if capacity is None else float(capacity)
     loads = np.zeros(n)
     out = np.empty(w.shape[0], dtype=np.int64)
@@ -75,9 +75,7 @@ def lpt_assignment(weights: np.ndarray, n: int) -> np.ndarray:
     Produces makespan at most ``4/3`` of optimal (Graham), hence always
     proper as well; useful as a tighter baseline target assignment.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size and w.min() <= 0:
-        raise ValueError("weights must be positive")
+    w = validate_weights(weights)
     order = np.argsort(-w, kind="stable")
     loads = np.zeros(n)
     out = np.empty(w.shape[0], dtype=np.int64)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.thresholds import validate_weights
+
 __all__ = [
     "single_source_placement",
     "uniform_random_placement",
@@ -64,9 +66,7 @@ def balanced_plus_spike_placement(
     thresholds find hard — the weighted analogue of Observation 8's
     placement.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.min() <= 0:
-        raise ValueError("weights must be positive")
+    w = validate_weights(weights)
     if not 0 <= spike < n:
         raise ValueError("spike resource out of range")
     avg = w.sum() / n

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.thresholds import validate_weights
+
 __all__ = [
     "SpeedDistribution",
     "UniformSpeeds",
@@ -191,11 +193,9 @@ def speed_stats(speeds: np.ndarray) -> dict[str, float]:
     Returns ``S`` (total capacity per unit time), ``smin``, ``smax``,
     ``savg`` and the skew ratio ``smax / smin``.
     """
-    s = np.asarray(speeds, dtype=np.float64)
+    s = validate_weights(speeds, "resource speed")
     if s.size == 0:
         raise ValueError("empty speed vector")
-    if s.min() <= 0:
-        raise ValueError("speeds must be strictly positive")
     return {
         "S": float(s.sum()),
         "smin": float(s.min()),

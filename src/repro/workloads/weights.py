@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.thresholds import validate_weights
+
 __all__ = [
     "WeightDistribution",
     "UniformWeights",
@@ -250,11 +252,9 @@ def weight_stats(weights: np.ndarray) -> dict[str, float]:
     Returns ``W`` (total), ``wmin``, ``wmax``, ``wavg`` and the skew
     ratio ``wmax / wmin`` that enters Theorems 11 and 12.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = validate_weights(weights)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if w.min() <= 0:
-        raise ValueError("weights must be strictly positive")
     return {
         "W": float(w.sum()),
         "wmin": float(w.min()),

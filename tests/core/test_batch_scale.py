@@ -46,6 +46,5 @@ def test_batch_state_uses_tight_dtype():
     assert batch.key_task.dtype == batch.idx
     assert batch.order.dtype == batch.idx
     # scratch buffers sized for the batch, ready for reuse
-    assert batch._scratch_ws.shape[0] == batch.A * batch.m
     assert batch._scratch_cum.shape == (batch.A, batch.m)
     assert batch._order_buf.shape[0] == batch.A * batch.m

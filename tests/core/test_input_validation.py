@@ -26,9 +26,21 @@ from repro import (
     UserControlledProtocol,
     replay_setup,
 )
-from repro.core.thresholds import FixedThreshold, validate_speeds
+from repro.core.thresholds import (
+    FixedThreshold,
+    ProportionalThresholds,
+    validate_speeds,
+)
 from repro.study.setups import UserControlledSetup
-from repro.workloads import UniformRangeWeights, load_trace_jsonl
+from repro.workloads import (
+    UniformRangeWeights,
+    balanced_plus_spike_placement,
+    first_fit_assignment,
+    load_trace_jsonl,
+    lpt_assignment,
+    speed_stats,
+    weight_stats,
+)
 from repro.workloads.dynamics import DynamicsSchedule
 
 
@@ -76,6 +88,16 @@ VERBS = {
     "submit_many": lambda w: _router().submit_many([1.0, w], [0, 1]),
     "DynamicsSchedule": _schedule,
     "validate_speeds": lambda w: validate_speeds(np.array([1.0, w]), 2),
+    "first_fit_assignment": lambda w: first_fit_assignment([1.0, w, 2.0], 2),
+    "lpt_assignment": lambda w: lpt_assignment([1.0, w, 2.0], 2),
+    "balanced_plus_spike_placement": lambda w: balanced_plus_spike_placement(
+        np.array([1.0, w, 2.0]), 2
+    ),
+    "weight_stats": lambda w: weight_stats(np.array([1.0, w, 2.0])),
+    "speed_stats": lambda w: speed_stats(np.array([1.0, w])),
+    "ProportionalThresholds": lambda w: ProportionalThresholds(
+        speeds=(1.0, w)
+    ),
 }
 
 
