@@ -19,6 +19,8 @@ import os
 
 import pytest
 
+from repro.experiments import EXPERIMENTS
+
 
 def bench_scale() -> str:
     scale = os.environ.get("REPRO_BENCH_SCALE", "quick")
@@ -27,9 +29,11 @@ def bench_scale() -> str:
     return scale
 
 
-def scaled(config):
-    """Apply the quick preset unless paper scale was requested."""
-    return config if bench_scale() == "paper" else config.quick()
+def scaled(key: str):
+    """The config of registry experiment ``key``: its quick preset
+    unless paper scale was requested."""
+    preset = None if bench_scale() == "paper" else "quick"
+    return EXPERIMENTS[key].configure(preset=preset)
 
 
 @pytest.fixture

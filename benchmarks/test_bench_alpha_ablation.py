@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import AlphaAblationConfig, run_alpha_ablation
+from repro.experiments import EXPERIMENTS
 
 
 def test_alpha_ablation(benchmark, show):
-    config = scaled(AlphaAblationConfig())
-    result = benchmark.pedantic(
-        lambda: run_alpha_ablation(config), rounds=1, iterations=1
-    )
+    config = scaled("alpha_ablation")
+    run = EXPERIMENTS["alpha_ablation"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

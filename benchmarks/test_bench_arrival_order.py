@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import ArrivalOrderConfig, run_arrival_order
+from repro.experiments import EXPERIMENTS
 
 
 def test_arrival_order(benchmark, show):
-    config = scaled(ArrivalOrderConfig())
-    result = benchmark.pedantic(
-        lambda: run_arrival_order(config), rounds=1, iterations=1
-    )
+    config = scaled("arrival_order")
+    run = EXPERIMENTS["arrival_order"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

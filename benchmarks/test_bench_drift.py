@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import DriftCheckConfig, run_drift_check
+from repro.experiments import EXPERIMENTS
 
 
 def test_drift_check(benchmark, show):
-    config = scaled(DriftCheckConfig())
-    result = benchmark.pedantic(
-        lambda: run_drift_check(config), rounds=1, iterations=1
-    )
+    config = scaled("drift_check")
+    run = EXPERIMENTS["drift_check"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     rows = {r["scenario"]: r for r in result.rows}

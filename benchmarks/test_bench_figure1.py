@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import Figure1Config, run_figure1
+from repro.experiments import EXPERIMENTS
 
 
 def test_figure1(benchmark, show):
-    config = scaled(Figure1Config())
-    result = benchmark.pedantic(
-        lambda: run_figure1(config), rounds=1, iterations=1
-    )
+    config = scaled("figure1")
+    run = EXPERIMENTS["figure1"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table(), "", result.chart())
 
     # every point balanced within budget

@@ -16,14 +16,13 @@ from __future__ import annotations
 import numpy as np
 from conftest import scaled
 
-from repro.experiments import Figure2Config, run_figure2
+from repro.experiments import EXPERIMENTS
 
 
 def test_figure2(benchmark, show):
-    config = scaled(Figure2Config())
-    result = benchmark.pedantic(
-        lambda: run_figure2(config), rounds=1, iterations=1
-    )
+    config = scaled("figure2")
+    run = EXPERIMENTS["figure2"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table(), "", result.chart())
 
     assert all(r["balanced_trials"] == r["trials"] for r in result.rows)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import LowerBoundConfig, run_lower_bound
+from repro.experiments import EXPERIMENTS
 
 
 def test_lower_bound(benchmark, show):
-    config = scaled(LowerBoundConfig())
-    result = benchmark.pedantic(
-        lambda: run_lower_bound(config), rounds=1, iterations=1
-    )
+    config = scaled("lower_bound")
+    run = EXPERIMENTS["lower_bound"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

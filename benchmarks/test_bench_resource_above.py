@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import ResourceAboveConfig, run_resource_above
+from repro.experiments import EXPERIMENTS
 
 
 def test_resource_above(benchmark, show):
-    config = scaled(ResourceAboveConfig())
-    result = benchmark.pedantic(
-        lambda: run_resource_above(config), rounds=1, iterations=1
-    )
+    config = scaled("resource_above")
+    run = EXPERIMENTS["resource_above"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

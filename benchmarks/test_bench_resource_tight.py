@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 from conftest import scaled
 
-from repro.experiments import ResourceTightConfig, run_resource_tight
+from repro.experiments import EXPERIMENTS
 
 
 def test_resource_tight(benchmark, show):
-    config = scaled(ResourceTightConfig())
-    result = benchmark.pedantic(
-        lambda: run_resource_tight(config), rounds=1, iterations=1
-    )
+    config = scaled("resource_tight")
+    run = EXPERIMENTS["resource_tight"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

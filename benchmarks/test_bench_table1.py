@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import Table1Config, run_table1
+from repro.experiments import EXPERIMENTS
 
 
 def test_table1(benchmark, show):
-    config = scaled(Table1Config())
-    result = benchmark.pedantic(
-        lambda: run_table1(config), rounds=1, iterations=1
-    )
+    config = scaled("table1")
+    run = EXPERIMENTS["table1"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     # --- hitting-time orders (exponent of the power-law fit vs n) -----

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from conftest import scaled
 
-from repro.experiments import TightScalingConfig, run_tight_scaling
+from repro.experiments import EXPERIMENTS
 
 
 def test_tight_scaling(benchmark, show):
-    config = scaled(TightScalingConfig())
-    result = benchmark.pedantic(
-        lambda: run_tight_scaling(config), rounds=1, iterations=1
-    )
+    config = scaled("tight_scaling")
+    run = EXPERIMENTS["tight_scaling"].run
+    result = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     show(result.format_table())
 
     assert all(r["balanced_trials"] == config.trials for r in result.rows)

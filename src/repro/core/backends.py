@@ -110,7 +110,8 @@ def run_single_trial(
 class SimulationBackend(ABC):
     """Strategy for executing a batch of independent trials."""
 
-    #: Registry name (``serial`` / ``process`` / ``batched``).
+    #: Registry name (``serial`` / ``process`` / ``batched`` /
+    #: ``sharded``).
     name: str = "backend"
 
     @abstractmethod

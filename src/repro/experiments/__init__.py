@@ -3,52 +3,32 @@
 Each module defines a frozen config, a ``build_study(config)`` returning
 the declarative :class:`repro.study.Study`, and a result adapter that
 turns study rows into the artefact's rich result type.  The registry
-(:data:`EXPERIMENTS`) binds them together; the ``run_*`` functions are
-deprecation shims kept for pre-Study callers.
+(:data:`EXPERIMENTS`) binds them together and is the one entry point:
+``EXPERIMENTS[key].run(config)``.
 """
 
-from .alpha_ablation import (
-    AlphaAblationConfig,
-    AlphaAblationResult,
-    run_alpha_ablation,
-)
-from .arrival_order import (
-    ArrivalOrderConfig,
-    ArrivalOrderResult,
-    run_arrival_order,
-)
-from .drift_check import DriftCheckConfig, DriftCheckResult, run_drift_check
+from .alpha_ablation import AlphaAblationConfig, AlphaAblationResult
+from .arrival_order import ArrivalOrderConfig, ArrivalOrderResult
+from .drift_check import DriftCheckConfig, DriftCheckResult
 from .charts import ascii_chart, series_from_rows
 from .dynamic_load import DynamicLoadConfig, DynamicLoadResult
-from .figure1 import Figure1Config, Figure1Result, run_figure1
-from .figure2 import Figure2Config, Figure2Result, run_figure2
+from .figure1 import Figure1Config, Figure1Result
+from .figure2 import Figure2Config, Figure2Result
 from .io import format_table, series, write_csv, write_json
-from .lower_bound import LowerBoundConfig, LowerBoundResult, run_lower_bound
+from .lower_bound import LowerBoundConfig, LowerBoundResult
 from .registry import EXPERIMENTS, Experiment
-from .resource_above import (
-    ResourceAboveConfig,
-    ResourceAboveResult,
-    run_resource_above,
-)
-from .resource_tight import (
-    ResourceTightConfig,
-    ResourceTightResult,
-    run_resource_tight,
-)
-# canonical home of the setups; repro.experiments.setups is a
-# deprecated shim that warns on import
+from .resource_above import ResourceAboveConfig, ResourceAboveResult
+from .resource_tight import ResourceTightConfig, ResourceTightResult
+# the trial setups live in repro.study.setups; re-exported here because
+# callers that build trials by hand import them from this package
 from ..study.setups import (
     HybridSetup,
     ResourceControlledSetup,
     UserControlledSetup,
 )
 from .speed_ablation import SpeedAblationConfig, SpeedAblationResult
-from .table1 import Table1Config, Table1Result, run_table1
-from .tight_scaling import (
-    TightScalingConfig,
-    TightScalingResult,
-    run_tight_scaling,
-)
+from .table1 import Table1Config, Table1Result
+from .tight_scaling import TightScalingConfig, TightScalingResult
 
 __all__ = [
     "AlphaAblationConfig",
@@ -82,16 +62,6 @@ __all__ = [
     "UserControlledSetup",
     "ascii_chart",
     "format_table",
-    "run_alpha_ablation",
-    "run_arrival_order",
-    "run_drift_check",
-    "run_figure1",
-    "run_figure2",
-    "run_lower_bound",
-    "run_resource_above",
-    "run_resource_tight",
-    "run_table1",
-    "run_tight_scaling",
     "series",
     "series_from_rows",
     "write_csv",

@@ -19,21 +19,13 @@ the user-protocol alphas followed by the hybrid point.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..analysis.bounds import theorem11_rounds
 from ..core.protocols.user_controlled import theorem11_alpha
 from ..graphs.builders import complete_graph
 from ..graphs.topology import Graph
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights
 from .io import format_table
 
@@ -43,7 +35,6 @@ __all__ = [
     "AlphaAblationResult",
     "build_study",
     "alpha_ablation_result",
-    "run_alpha_ablation",
 ]
 
 #: The ``--quick`` preset.
@@ -69,9 +60,6 @@ class AlphaAblationConfig:
     max_rounds: int = 2_000_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "AlphaAblationConfig":
-        return replace(self, **QUICK)
 
 
 @dataclass(frozen=True)
@@ -201,16 +189,3 @@ def alpha_ablation_result(
 ) -> AlphaAblationResult:
     """Adapt the study rows into the alpha-ablation result."""
     return AlphaAblationResult(config=config, rows=list(study_result.rows))
-
-
-def run_alpha_ablation(
-    config: AlphaAblationConfig = AlphaAblationConfig(),
-) -> AlphaAblationResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_alpha_ablation() is deprecated; use build_study()/run_study() "
-        "or repro.experiments.EXPERIMENTS['alpha_ablation'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return alpha_ablation_result(config, run_study(build_study(config)))

@@ -15,25 +15,17 @@ choice the paper's model leaves open, this bench catches it.
 The sweep showcases seed sharing: the ``order`` axis is *unseeded*
 (``sweep("order", ..., seeded=False)``), so both stacking orders draw
 from one per-protocol seed child instead of receiving independent
-children — reproducing the pre-Study driver's seeding bit-for-bit.
+children: the two orders of a protocol continue one seed stream.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..graphs.builders import complete_graph, torus_graph
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights
 from .io import format_table
 
@@ -43,7 +35,6 @@ __all__ = [
     "ArrivalOrderResult",
     "build_study",
     "arrival_order_result",
-    "run_arrival_order",
 ]
 
 #: The ``--quick`` preset.
@@ -62,9 +53,6 @@ class ArrivalOrderConfig:
     max_rounds: int = 200_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "ArrivalOrderConfig":
-        return replace(self, **QUICK)
 
 
 def _arrival_order_bind(scenario: Scenario, point) -> Scenario:
@@ -162,16 +150,3 @@ def arrival_order_result(
 ) -> ArrivalOrderResult:
     """Adapt the study rows into the arrival-order result."""
     return ArrivalOrderResult(config=config, rows=list(study_result.rows))
-
-
-def run_arrival_order(
-    config: ArrivalOrderConfig = ArrivalOrderConfig(),
-) -> ArrivalOrderResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_arrival_order() is deprecated; use build_study()/run_study() "
-        "or repro.experiments.EXPERIMENTS['arrival_order'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return arrival_order_result(config, run_study(build_study(config)))

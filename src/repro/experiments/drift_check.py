@@ -21,8 +21,7 @@ from each point's :class:`~repro.study.PointOutcome`.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,7 @@ from ..analysis.drift import estimate_drift, lemma10_delta
 from ..graphs.builders import complete_graph, cycle_graph
 from ..graphs.hitting import max_hitting_time
 from ..graphs.random_walk import max_degree_walk
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights, UniformWeights
 from .io import format_table
 
@@ -47,7 +39,6 @@ __all__ = [
     "DriftCheckResult",
     "build_study",
     "drift_check_result",
-    "run_drift_check",
 ]
 
 #: The ``--quick`` preset.
@@ -67,9 +58,6 @@ class DriftCheckConfig:
     max_rounds: int = 500_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "DriftCheckConfig":
-        return replace(self, **QUICK)
 
 
 def _phase_drops(trace: np.ndarray, phase: int) -> list[float]:
@@ -209,16 +197,3 @@ def drift_check_result(
 ) -> DriftCheckResult:
     """Adapt the study rows into the drift-check result."""
     return DriftCheckResult(config=config, rows=list(study_result.rows))
-
-
-def run_drift_check(
-    config: DriftCheckConfig = DriftCheckConfig(),
-) -> DriftCheckResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_drift_check() is deprecated; use build_study()/run_study() or "
-        "repro.experiments.EXPERIMENTS['drift_check'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return drift_check_result(config, run_study(build_study(config)))

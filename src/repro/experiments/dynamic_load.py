@@ -28,7 +28,7 @@ keep the points comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.metrics import summarize_dynamics
 from ..graphs.builders import complete_graph, torus_graph
@@ -74,9 +74,6 @@ class DynamicLoadConfig:
     max_rounds: int = 5_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "DynamicLoadConfig":
-        return replace(self, **QUICK)
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,12 @@ where ``W < 50 k``), and the row builder emits the figure's columns.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.fitting import FitResult, fit_logarithmic
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights
 from .io import format_table, series
 
@@ -43,7 +35,6 @@ __all__ = [
     "Figure1Result",
     "build_study",
     "figure1_result",
-    "run_figure1",
 ]
 
 #: The ``--quick`` preset (minutes-scale, preserves the sweep's shape).
@@ -79,10 +70,6 @@ class Figure1Config:
     max_rounds: int = 100_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "Figure1Config":
-        """A minutes-scale variant preserving the sweep's shape."""
-        return replace(self, **QUICK)
 
 
 @dataclass(frozen=True)
@@ -225,17 +212,3 @@ def figure1_result(
         if xs.shape[0] >= 2:
             result.fits[k] = fit_logarithmic(xs + k, ys)
     return result
-
-
-def run_figure1(config: Figure1Config = Figure1Config()) -> Figure1Result:
-    """Deprecated driver entry point; delegates to the Study API.
-
-    Equivalent to ``figure1_result(config, run_study(build_study(config)))``.
-    """
-    warnings.warn(
-        "run_figure1() is deprecated; use build_study()/run_study() or "
-        "repro.experiments.EXPERIMENTS['figure1'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return figure1_result(config, run_study(build_study(config)))

@@ -16,21 +16,13 @@ normalised time against ``wmax`` (linear) and each curve against
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.fitting import FitResult, fit_linear, fit_logarithmic
 from ..core.metrics import normalized_balancing_time
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights
 from .io import format_table, series
 
@@ -40,7 +32,6 @@ __all__ = [
     "Figure2Result",
     "build_study",
     "figure2_result",
-    "run_figure2",
 ]
 
 #: The ``--quick`` preset (minutes-scale, preserves the sweep's shape).
@@ -65,10 +56,6 @@ class Figure2Config:
     max_rounds: int = 200_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "Figure2Config":
-        """A minutes-scale variant preserving the sweep's shape."""
-        return replace(self, **QUICK)
 
 
 def _figure2_bind(scenario: Scenario, point) -> Scenario:
@@ -193,17 +180,3 @@ def figure2_result(
             raw = norm * np.log(ms)
             result.per_wmax_fits[wmax] = fit_logarithmic(ms, raw)
     return result
-
-
-def run_figure2(config: Figure2Config = Figure2Config()) -> Figure2Result:
-    """Deprecated driver entry point; delegates to the Study API.
-
-    Equivalent to ``figure2_result(config, run_study(build_study(config)))``.
-    """
-    warnings.warn(
-        "run_figure2() is deprecated; use build_study()/run_study() or "
-        "repro.experiments.EXPERIMENTS['figure2'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return figure2_result(config, run_study(build_study(config)))

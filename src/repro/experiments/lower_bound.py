@@ -15,22 +15,12 @@ The study sweeps ``k``; the measured balancing time should scale like
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..graphs.builders import clique_with_pendant
 from ..graphs.hitting import hitting_times_to_target
 from ..graphs.random_walk import max_degree_walk
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import UniformWeights
 from .io import format_table
 
@@ -40,7 +30,6 @@ __all__ = [
     "LowerBoundResult",
     "build_study",
     "lower_bound_result",
-    "run_lower_bound",
 ]
 
 #: The ``--quick`` preset.
@@ -61,9 +50,6 @@ class LowerBoundConfig:
     @property
     def m(self) -> int:
         return self.m_factor * self.n**2
-
-    def quick(self) -> "LowerBoundConfig":
-        return replace(self, **QUICK)
 
 
 def _lower_bound_bind(scenario: Scenario, point) -> Scenario:
@@ -150,16 +136,3 @@ def lower_bound_result(
 ) -> LowerBoundResult:
     """Adapt the study rows into the Observation 8 result."""
     return LowerBoundResult(config=config, rows=list(study_result.rows))
-
-
-def run_lower_bound(
-    config: LowerBoundConfig = LowerBoundConfig(),
-) -> LowerBoundResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_lower_bound() is deprecated; use build_study()/run_study() or "
-        "repro.experiments.EXPERIMENTS['lower_bound'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return lower_bound_result(config, run_study(build_study(config)))

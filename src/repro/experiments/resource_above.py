@@ -19,8 +19,7 @@ precomputed once per graph into the axis values.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +33,7 @@ from ..graphs.builders import (
 from ..graphs.random_walk import max_degree_walk
 from ..graphs.spectral import mixing_time_bound
 from ..graphs.topology import Graph
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import UniformRangeWeights, UniformWeights
 from .io import format_table
 
@@ -51,7 +43,6 @@ __all__ = [
     "ResourceAboveResult",
     "build_study",
     "resource_above_result",
-    "run_resource_above",
 ]
 
 #: The ``--quick`` preset.
@@ -71,9 +62,6 @@ class ResourceAboveConfig:
     heavy_high: float = 10.0
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "ResourceAboveConfig":
-        return replace(self, **QUICK)
 
 
 def _graphs(config: ResourceAboveConfig) -> list[Graph]:
@@ -185,16 +173,3 @@ def resource_above_result(
 ) -> ResourceAboveResult:
     """Adapt the study rows into the Theorem 3 result."""
     return ResourceAboveResult(config=config, rows=list(study_result.rows))
-
-
-def run_resource_above(
-    config: ResourceAboveConfig = ResourceAboveConfig(),
-) -> ResourceAboveResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_resource_above() is deprecated; use build_study()/run_study() "
-        "or repro.experiments.EXPERIMENTS['resource_above'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resource_above_result(config, run_study(build_study(config)))

@@ -14,8 +14,7 @@ independent of the individual weights (only ``W`` enters).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +22,7 @@ from ..analysis.bounds import theorem7_rounds
 from ..graphs.builders import complete_graph, cycle_graph
 from ..graphs.hitting import max_hitting_time
 from ..graphs.random_walk import max_degree_walk
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import TwoPointWeights, UniformWeights
 from .io import format_table
 
@@ -40,7 +32,6 @@ __all__ = [
     "ResourceTightResult",
     "build_study",
     "resource_tight_result",
-    "run_resource_tight",
 ]
 
 #: The ``--quick`` preset.
@@ -58,9 +49,6 @@ class ResourceTightConfig:
     heavy_count: int = 4
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "ResourceTightConfig":
-        return replace(self, **QUICK)
 
 
 def _resource_tight_bind(scenario: Scenario, point) -> Scenario:
@@ -166,16 +154,3 @@ def resource_tight_result(
 ) -> ResourceTightResult:
     """Adapt the study rows into the Theorem 7 result."""
     return ResourceTightResult(config=config, rows=list(study_result.rows))
-
-
-def run_resource_tight(
-    config: ResourceTightConfig = ResourceTightConfig(),
-) -> ResourceTightResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_resource_tight() is deprecated; use build_study()/run_study() "
-        "or repro.experiments.EXPERIMENTS['resource_tight'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resource_tight_result(config, run_study(build_study(config)))

@@ -28,7 +28,7 @@ the paper-model baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class SpeedAblationConfig:
     max_rounds: int = 500_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "SpeedAblationConfig":
-        return replace(self, **QUICK)
 
 
 @dataclass(frozen=True)

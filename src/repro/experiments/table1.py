@@ -20,8 +20,7 @@ spectral quantities per point.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..graphs.builders import (
 from ..graphs.hitting import max_hitting_time
 from ..graphs.random_walk import lazy_walk, max_degree_walk
 from ..graphs.spectral import spectral_gap, spectral_summary
-from ..study import Study, StudyResult, run_study, sweep
+from ..study import Study, StudyResult, sweep
 from .io import format_table
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "Table1Config",
     "Table1Result",
     "build_study",
-    "run_table1",
     "table1_result",
 ]
 
@@ -73,9 +71,6 @@ class Table1Config:
     grid_sides: tuple[int, ...] = (8, 12, 16, 23)
     empirical_mixing: bool = True
     seed: int = 2017
-
-    def quick(self) -> "Table1Config":
-        return replace(self, **QUICK)
 
 
 def _instances(config: Table1Config):
@@ -192,17 +187,3 @@ def table1_result(
                 "hitting": fit_power_law(ns, hit),
             }
     return result
-
-
-def run_table1(config: Table1Config = Table1Config()) -> Table1Result:
-    """Deprecated driver entry point; delegates to the Study API.
-
-    Equivalent to ``table1_result(config, run_study(build_study(config)))``.
-    """
-    warnings.warn(
-        "run_table1() is deprecated; use build_study()/run_study() or "
-        "repro.experiments.EXPERIMENTS['table1'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return table1_result(config, run_study(build_study(config)))

@@ -22,19 +22,11 @@ so future work has a number to beat.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..analysis.bounds import theorem12_rounds
 from ..analysis.fitting import FitResult, fit_power_law
-from ..study import (
-    PointOutcome,
-    Scenario,
-    Study,
-    StudyResult,
-    run_study,
-    sweep,
-)
+from ..study import PointOutcome, Scenario, Study, StudyResult, sweep
 from ..workloads.weights import UniformWeights
 from .io import format_table, series
 
@@ -44,7 +36,6 @@ __all__ = [
     "TightScalingResult",
     "build_study",
     "tight_scaling_result",
-    "run_tight_scaling",
 ]
 
 #: The ``--quick`` preset.
@@ -61,9 +52,6 @@ class TightScalingConfig:
     max_rounds: int = 1_000_000
     workers: int | None = None
     backend: str | None = None
-
-    def quick(self) -> "TightScalingConfig":
-        return replace(self, **QUICK)
 
 
 @dataclass(frozen=True)
@@ -160,16 +148,3 @@ def tight_scaling_result(
     if ns.shape[0] >= 2 and (times > 0).all():
         result.fit = fit_power_law(ns, times)
     return result
-
-
-def run_tight_scaling(
-    config: TightScalingConfig = TightScalingConfig(),
-) -> TightScalingResult:
-    """Deprecated driver entry point; delegates to the Study API."""
-    warnings.warn(
-        "run_tight_scaling() is deprecated; use build_study()/run_study() "
-        "or repro.experiments.EXPERIMENTS['tight_scaling'].run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return tight_scaling_result(config, run_study(build_study(config)))

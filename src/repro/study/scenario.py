@@ -10,8 +10,9 @@ substitution instead of writing a new driver module.
 
 Compilation is intentionally thin: a scenario with the same field
 values as a hand-built :class:`~repro.study.setups.UserControlledSetup`
-(or resource/hybrid setup) produces *that exact setup*, so studies
-replay legacy drivers bit-for-bit from a shared root seed.
+(or resource/hybrid setup) produces *that exact setup*, so a study
+point and a direct :func:`~repro.core.runner.run_trials` call on that
+setup agree bit-for-bit from the same seed.
 """
 
 from __future__ import annotations
@@ -195,9 +196,9 @@ class Scenario:
     def compile(self) -> TrialSetup:
         """Compile to the picklable per-trial setup the backends run.
 
-        The compiled object is exactly the setup a legacy driver would
-        have built by hand, so results are bit-identical to the
-        pre-Study drivers for the same root seed.
+        The compiled object equals the setup built by hand from the
+        same fields, so results are bit-identical to running that
+        setup directly with the same seed.
         """
         self.validate()
         if self.protocol == "user":

@@ -3,8 +3,8 @@
 :mod:`repro.core.runner` can fan trials out over a process pool, which
 requires the setup callable to be picklable — hence these frozen
 dataclasses implementing ``__call__`` instead of closures.  They are
-the executable form of a :class:`repro.study.Scenario` (and remain
-importable from :mod:`repro.experiments.setups` for compatibility).
+the executable form of a :class:`repro.study.Scenario` (and are
+re-exported by :mod:`repro.experiments`).
 
 Each setup builds a fresh ``(protocol, state)`` pair per trial from its
 configuration; workload sampling uses the trial's own RNG stream so

@@ -4,7 +4,7 @@ A :class:`Sweep` is an ordered product of named :class:`Axis` objects.
 ``sweep("total_weight", [2000, 4000])`` builds a one-axis sweep;
 multiplying sweeps (``sweep("k", ks) * sweep("W", ws)``) composes a
 grid whose points enumerate in row-major order — the *last* axis varies
-fastest, exactly like the nested ``for`` loops of the legacy drivers.
+fastest, as in nested ``for`` loops over the axes in order.
 
 Seed discipline (the bit-exactness contract): every point carries a
 ``seed_index``, and :func:`repro.study.run_study` spawns one
@@ -12,8 +12,9 @@ Seed discipline (the bit-exactness contract): every point carries a
 order.  Marking an axis ``seeded=False`` makes all its values share
 their siblings' seed child: because ``SeedSequence.spawn`` is stateful,
 the siblings *continue one reproducible seed stream* in point order
-(exactly the legacy drivers' pattern of calling ``run_trials`` twice on
-one child, as the arrival-order ablation does).  Points that a binder
+(each sibling's ``run_trials`` spawns its trial children from the
+shared child after the previous sibling's, as the arrival-order
+ablation's two stacking orders do).  Points that a binder
 later skips still consume their child, so adding or filtering grid
 values never shifts the randomness of other points.
 """

@@ -52,13 +52,9 @@ def normalize_min_speed(speeds: np.ndarray) -> np.ndarray:
     are anchored to normalised loads, so only speed *ratios* matter and
     the model can always be rescaled to ``smin = 1``.
     """
-    s = np.asarray(speeds, dtype=np.float64)
-    if s.size == 0:
-        return s.copy()
-    smin = s.min()
-    if smin <= 0:
-        raise ValueError("speeds must be strictly positive")
-    return s / smin
+    s = validate_weights(speeds, what="resource speed")
+    # validate_weights may hand back its argument: never alias it
+    return s / s.min() if s.size else s.copy()
 
 
 class SpeedDistribution(ABC):

@@ -48,13 +48,9 @@ def normalize_min_weight(weights: np.ndarray) -> np.ndarray:
     "We assume that wmin >= 1.  If this is not the case, then one can
     easily scale all parameters, such that wmin = 1."
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        return w.copy()
-    wmin = w.min()
-    if wmin <= 0:
-        raise ValueError("weights must be strictly positive")
-    return w / wmin
+    w = validate_weights(weights)
+    # validate_weights may hand back its argument: never alias it
+    return w / w.min() if w.size else w.copy()
 
 
 class WeightDistribution(ABC):

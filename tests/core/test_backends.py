@@ -276,12 +276,8 @@ class TestRegistryBackend:
     def test_experiment_run_accepts_backend(self):
         from repro.experiments.registry import EXPERIMENTS
 
-        import dataclasses
-
         exp = EXPERIMENTS["tight_scaling"]
-        config = dataclasses.replace(
-            exp.config_factory().quick(), n_values=(32,), trials=3
-        )
+        config = exp.configure(preset="quick", n_values=(32,), trials=3)
         serial = exp.run(config, backend="serial")
         batched = exp.run(config, backend="batched")
         assert serial.rows == batched.rows

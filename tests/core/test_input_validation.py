@@ -38,6 +38,8 @@ from repro.workloads import (
     first_fit_assignment,
     load_trace_jsonl,
     lpt_assignment,
+    normalize_min_speed,
+    normalize_min_weight,
     speed_stats,
     weight_stats,
 )
@@ -95,6 +97,8 @@ VERBS = {
     ),
     "weight_stats": lambda w: weight_stats(np.array([1.0, w, 2.0])),
     "speed_stats": lambda w: speed_stats(np.array([1.0, w])),
+    "normalize_min_weight": lambda w: normalize_min_weight([1.0, w, 2.0]),
+    "normalize_min_speed": lambda w: normalize_min_speed([1.0, w]),
     "ProportionalThresholds": lambda w: ProportionalThresholds(
         speeds=(1.0, w)
     ),

@@ -68,13 +68,13 @@ class TestFigureCharts:
     def test_figure_results_render(self):
         import dataclasses
 
-        from repro.experiments import Figure2Config, run_figure2
+        from repro.experiments import EXPERIMENTS, Figure2Config
 
         cfg = dataclasses.replace(
             Figure2Config(), n=50, m_values=(100, 200),
             wmax_values=(1, 8), trials=2,
         )
-        res = run_figure2(cfg)
+        res = EXPERIMENTS["figure2"].run(cfg)
         chart = res.chart(width=32, height=8)
         assert "wmax=1" in chart and "wmax=8" in chart
         assert "(m)" in chart

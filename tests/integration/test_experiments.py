@@ -18,10 +18,6 @@ from repro.experiments import (
     Table1Config,
     UserControlledSetup,
     format_table,
-    run_figure1,
-    run_figure2,
-    run_lower_bound,
-    run_table1,
     write_csv,
     write_json,
 )
@@ -129,10 +125,8 @@ class TestRegistry:
 
     def test_every_config_has_quick(self):
         for exp in EXPERIMENTS.values():
-            cfg = exp.config_factory()
-            assert hasattr(cfg, "quick")
-            quick = cfg.quick()
-            assert type(quick) is type(cfg)
+            quick = exp.configure(preset="quick")
+            assert type(quick) is type(exp.config_factory())
 
 
 class TestDriversSmoke:
@@ -148,7 +142,7 @@ class TestDriversSmoke:
             heavy_weight=20.0,
             trials=3,
         )
-        res = run_figure1(cfg)
+        res = EXPERIMENTS["figure1"].run(cfg)
         assert len(res.rows) == 4
         assert set(res.fits) == {1, 2}
         table = res.format_table()
@@ -163,10 +157,10 @@ class TestDriversSmoke:
             k_values=(10,),   # 10 * 50 = 500 > 100: first point infeasible
             trials=2,
         )
-        res = run_figure1(cfg)
+        res = EXPERIMENTS["figure1"].run(cfg)
         assert [r["W"] for r in res.rows] == []  # 400 < 500 too
         cfg2 = dataclasses.replace(cfg, total_weights=(600,))
-        assert len(run_figure1(cfg2).rows) == 1
+        assert len(EXPERIMENTS["figure1"].run(cfg2).rows) == 1
 
     def test_figure2_tiny(self):
         cfg = dataclasses.replace(
@@ -176,7 +170,7 @@ class TestDriversSmoke:
             wmax_values=(1, 8),
             trials=3,
         )
-        res = run_figure2(cfg)
+        res = EXPERIMENTS["figure2"].run(cfg)
         assert len(res.rows) == 4
         assert res.wmax_fit is not None
         ms, norm = res.curve(8)
@@ -192,7 +186,7 @@ class TestDriversSmoke:
             hypercube_dims=(4, 5),
             grid_sides=(4, 5),
         )
-        res = run_table1(cfg)
+        res = EXPERIMENTS["table1"].run(cfg)
         assert len(res.rows) == 10
         assert "complete" in res.fits
         assert "Table 1" in res.format_table()
@@ -203,7 +197,7 @@ class TestDriversSmoke:
         cfg = dataclasses.replace(
             LowerBoundConfig(), n=10, m_factor=4, k_values=(1, 4), trials=2
         )
-        res = run_lower_bound(cfg)
+        res = EXPERIMENTS["lower_bound"].run(cfg)
         assert len(res.rows) == 2
         # k=1 must be slower than k=4
         assert res.scaling_vs_k() > 1.0
