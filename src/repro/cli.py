@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import json
 import sys
 import time
@@ -294,13 +295,20 @@ def _check_pool_flags(args, parser: argparse.ArgumentParser) -> None:
         )
 
 
+#: CLI flags that override the config field of the same name, where
+#: the experiment's config has one (table1 is analytical: no trials).
+_CONFIG_FLAGS = ("trials", "seed", "workers", "backend")
+
+
 def _configure(exp, args) -> object:
+    fields = {f.name for f in dataclasses.fields(exp.config_factory())}
     return exp.configure(
         preset="quick" if getattr(args, "quick", False) else None,
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", None),
-        backend=getattr(args, "backend", None),
+        **{
+            flag: getattr(args, flag, None)
+            for flag in _CONFIG_FLAGS
+            if flag in fields
+        },
     )
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from ...graphs.implicit import ImplicitWalk
 from ...graphs.random_walk import RandomWalk
 from ..state import SystemState
+from ..thresholds import validate_weight
 from .base import Protocol, StepStats, loads_delta
 
 if TYPE_CHECKING:
@@ -112,8 +113,8 @@ class UserControlledProtocol(Protocol):
     ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if wmax_estimate is not None and wmax_estimate <= 0:
-            raise ValueError("wmax_estimate must be positive")
+        if wmax_estimate is not None:
+            wmax_estimate = validate_weight(wmax_estimate, "wmax_estimate")
         if arrival_order not in ("random", "fifo"):
             raise ValueError("arrival_order must be 'random' or 'fifo'")
         self.alpha = float(alpha)

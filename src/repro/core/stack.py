@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thresholds import effective_capacity
+from .thresholds import effective_capacity, validate_weight
 
 __all__ = [
     "LoadProfile",
@@ -64,12 +64,8 @@ class ResourceStack:
     def __init__(
         self, threshold: float, atol: float = 1e-9, speed: float = 1.0
     ) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        self.threshold = float(threshold)
-        self.speed = float(speed)
+        self.threshold = validate_weight(threshold, "threshold")
+        self.speed = validate_weight(speed, "resource speed")
         #: Raw-load bound ``c_r = s_r * T_r``: every threshold
         #: comparison uses this, derived through the engine's single
         #: capacity choke point (bit-identical to the historical
@@ -84,10 +80,9 @@ class ResourceStack:
     # ------------------------------------------------------------------
     def push(self, task_id: int, weight: float) -> None:
         """Add a task on top of the stack."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        w = validate_weight(weight)
         self._task_ids.append(int(task_id))
-        self._weights.append(float(weight))
+        self._weights.append(w)
 
     def pop_active(self) -> list[int]:
         """Remove and return every cutting/above task (``I^a ∪ I^c``).

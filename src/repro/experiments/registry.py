@@ -58,10 +58,20 @@ class Experiment:
     def configure(self, preset: str | None = None, **overrides: Any) -> Any:
         """Build a config, applying a named preset and field overrides.
 
-        Overrides the config lacks (e.g. ``trials`` for the analytical
-        Table 1) are ignored, mirroring the CLI's historical behaviour.
+        An override whose value is ``None`` is skipped (it stands for
+        "not given").  An override the config has no field for raises
+        ``ValueError`` naming it and the valid fields, so a misspelt
+        name never runs a different experiment than the one asked for.
         """
         config = self.config_factory()
+        fields = [f.name for f in dataclasses.fields(config)]
+        unknown = sorted(set(overrides) - set(fields))
+        if unknown:
+            raise ValueError(
+                f"experiment {self.key!r} has no config field "
+                f"{', '.join(map(repr, unknown))}; valid fields: "
+                f"{', '.join(fields)}"
+            )
         if preset is not None:
             if preset not in self.presets:
                 raise ValueError(
@@ -69,13 +79,9 @@ class Experiment:
                     f"available: {sorted(self.presets)}"
                 )
             config = dataclasses.replace(config, **self.presets[preset])
-        applicable = {
-            k: v
-            for k, v in overrides.items()
-            if v is not None and hasattr(config, k)
-        }
-        if applicable:
-            config = dataclasses.replace(config, **applicable)
+        given = {k: v for k, v in overrides.items() if v is not None}
+        if given:
+            config = dataclasses.replace(config, **given)
         return config
 
     def build_study(self, config: Any | None = None) -> Study:

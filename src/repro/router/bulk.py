@@ -1,13 +1,14 @@
-"""Vectorised helpers behind :meth:`repro.router.core.Router.choose_many`.
+"""The serial resolver behind :meth:`repro.router.core.Router.choose_many`.
 
-The bulk-admission kernel turns the router's scalar probe loop into
-probe *waves*: one NumPy block per wave draws every pending decision's
-next candidate at once, one array comparison gates them against the
-effective capacity, and a rank loop resolves intra-batch conflicts in
-arrival order.  The contract is strict **bit-identity**: a
-``choose_many`` call must produce the same placements, the same probe
-counts, the same counters and the same generator end state as a loop
-of scalar ``choose_resource`` calls on the same seed.
+Bulk admission decides a batch in arrival order, exactly as a loop of
+scalar ``choose_resource`` calls would, but without paying the scalar
+verb's per-decision overhead: candidates come out of block draws, the
+probe is inlined into one tight Python loop, touched loads ride along
+as Python floats and are written back once, and capacities are read
+from cached Python lists.  The contract is strict **bit-identity**: a
+``choose_many`` call produces the same placements, the same probe
+counts, the same counters and the same generator end state as the
+scalar loop on the same seed.
 
 Three properties make that possible, each load-bearing:
 
@@ -18,34 +19,38 @@ Three properties make that possible, each load-bearing:
     same for ``random``; gated by
     ``tests/properties/test_bulk_equivalence.py``).  The buffer is a
     FIFO over one draw *kind* that only ever tops up by the exact
-    shortfall, so no value is drawn that the scalar path would not
-    eventually consume, and values peeked for a wave can be re-assigned
-    to a failing decision's later probes without touching the stream.
+    shortfall, and the resolver only ever asks it for draws the scalar
+    loop is guaranteed to consume: when the block runs dry at decision
+    ``i`` of ``k``, the probe being made plus one first probe per later
+    decision (``k - i`` candidates for uniform probing, two uniforms
+    each for a walk-user step), or just the one step's two uniforms
+    when later first probes are free (walk-resource: the origin probes
+    itself).  So the block drains to empty by the end of the batch.
 
-Wave prefix truncation — interleaving order
-    The scalar path fully resolves decision ``i`` (all its probes)
-    before decision ``i+1`` draws anything.  A wave's verdicts are
-    therefore only valid up to the *first* failing decision: everything
-    before it used exactly one draw and committed, so the wave's block
-    is a faithful prefix of the scalar stream.  The failing decision is
-    then resolved scalar-style out of the buffer, and the remaining
-    decisions re-wave.  Leftover peeked values are exactly the next
-    wave's need, so the buffer provably drains to empty by the end of
-    the batch.
+Serial order — no conflict resolution
+    Every decision is gated against the loads left by the decisions
+    before it, in arrival order, so intra-batch capacity conflicts
+    never arise.  Python float arithmetic is IEEE float64, the same
+    operation NumPy performs on the scalar path, so every running load
+    and every compare equals the scalar loop's bit for bit.
 
-``gate_wave`` — float-exact conflict resolution
-    Capacity checks involve float sums whose value depends on add
-    order, so the gate cannot use ``cumsum`` tricks.  Instead it
-    groups candidates by resource (stable sort preserves arrival
-    order) and admits rank-by-rank: each rank is one vectorised
-    compare-and-add in which every resource appears at most once, so
-    every comparison sees exactly the partial sums the scalar loop
-    would have produced.
+Speculative walk-user targets
+    A walk-user decision's first probe is a walk step from its origin
+    on the next two stream uniforms, and which uniforms those are
+    depends on how many probes the earlier decisions used.  The
+    resolver assumes one probe each and computes a window of upcoming
+    first targets in one :func:`walk_targets` call; a multi-probe
+    decision shifts the stream and the window is recomputed from the
+    next decision on.  The window doubles on every window served
+    without a shift and resets to twice the run that ended in one, so
+    a provisioned batch costs one vectorised step, and a saturated
+    batch pays per shift rather than per remaining decision.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from collections.abc import Callable
+from typing import Any, Union
 
 import numpy as np
 
@@ -55,14 +60,16 @@ from ..graphs.random_walk import RandomWalk
 __all__ = [
     "DrawBuffer",
     "Walk",
-    "first_failure",
-    "gate_prefix_serial",
-    "gate_wave",
     "is_regular_walk",
+    "resolve_serial",
     "walk_targets",
 ]
 
 Walk = Union[RandomWalk, ImplicitWalk]
+
+#: One decision that did not admit on its first probe:
+#: ``(index, probes, accepted, overflowed)``.
+Odd = tuple[int, int, bool, bool]
 
 
 def is_regular_walk(walk: object) -> bool:
@@ -83,16 +90,18 @@ def is_regular_walk(walk: object) -> bool:
 
 
 class DrawBuffer:
-    """FIFO of pre-drawn uniforms over one generator, one draw kind.
+    """FIFO of pre-drawn values over one generator, one draw kind.
 
     ``n`` selects the kind: an integer makes it a ``integers(0, n)``
-    buffer, ``None`` a ``random()`` (doubles) buffer.  Fills draw the
-    exact shortfall, never more — the invariant that keeps the
-    generator end state identical to the scalar path's (see module
-    docstring).  With an injected ``clock`` (the router passes its
-    own), ``fill_seconds`` accumulates time spent drawing, for the
-    router's ``rng`` profile phase; no randomness or control flow
-    derives from it.
+    buffer, ``None`` a ``random()`` (doubles) buffer.  Values are held
+    and handed out as Python numbers.  Fills draw the exact shortfall,
+    never more — the invariant that keeps the generator end state
+    identical to the scalar path's (see module docstring); a shortfall
+    of one is drawn as a scalar, which costs a third of a size-1 block.
+    With an injected ``clock`` (the router passes its own),
+    ``fill_seconds`` accumulates time spent drawing, for the router's
+    ``rng`` profile phase; no randomness or control flow derives from
+    it.
     """
 
     __slots__ = ("_rng", "_n", "_buf", "_head", "_clock", "fill_seconds")
@@ -105,10 +114,7 @@ class DrawBuffer:
     ):
         self._rng = rng
         self._n = n
-        if n is None:
-            self._buf = np.empty(0, dtype=np.float64)
-        else:
-            self._buf = np.empty(0, dtype=np.int64)
+        self._buf: list[Any] = []
         self._head = 0
         self._clock = clock
         self.fill_seconds = 0.0
@@ -116,29 +122,31 @@ class DrawBuffer:
     @property
     def available(self) -> int:
         """Values peek-able without advancing the generator."""
-        return self._buf.shape[0] - self._head
+        return len(self._buf) - self._head
 
     def top_up(self, k: int) -> None:
         """Ensure ``k`` values are available, drawing the shortfall."""
-        short = k - self.available
+        buf, head = self._buf, self._head
+        short = k - (len(buf) - head)
         if short <= 0:
             return
         clock = self._clock
         t0 = clock() if clock is not None else 0.0
-        if self._n is None:
-            fresh = self._rng.random(short)
+        rng, n = self._rng, self._n
+        fresh: list[Any]
+        if short == 1:
+            fresh = [rng.random() if n is None else int(rng.integers(0, n))]
+        elif n is None:
+            fresh = rng.random(short).tolist()
         else:
-            fresh = self._rng.integers(0, self._n, size=short)
-        if self._head >= self._buf.shape[0]:
-            self._buf = fresh
-        else:
-            self._buf = np.concatenate([self._buf[self._head :], fresh])
+            fresh = rng.integers(0, n, size=short).tolist()
+        self._buf = buf[head:] + fresh if head < len(buf) else fresh
         self._head = 0
         if clock is not None:
             self.fill_seconds += clock() - t0
 
-    def peek(self, k: int) -> np.ndarray:
-        """View of the next ``k`` values (call :meth:`top_up` first)."""
+    def peek(self, k: int) -> list[Any]:
+        """The next ``k`` values (call :meth:`top_up` first)."""
         return self._buf[self._head : self._head + k]
 
     def consume(self, k: int) -> None:
@@ -147,13 +155,18 @@ class DrawBuffer:
 
     def take(self) -> float:
         """Pop one value (topping up by one if empty)."""
-        head = self._head
-        if head >= self._buf.shape[0]:
+        if self._head >= len(self._buf):
             self.top_up(1)
-            head = self._head
-        v = self._buf[head]
-        self._head = head + 1
+        v = self._buf[self._head]
+        self._head += 1
         return float(v)
+
+    def draw(self, k: int) -> list[Any]:
+        """Pop the next ``k`` values, drawing only the shortfall."""
+        self.top_up(k)
+        head = self._head
+        self._head = head + k
+        return self._buf[head : head + k]
 
 
 def walk_targets(
@@ -180,108 +193,142 @@ def walk_targets(
     return np.asarray(sampler.neighbor(pos, slot), dtype=np.int64)
 
 
-def gate_wave(
+def resolve_serial(
+    kind: str,
+    walk: Walk | None,
+    buf: DrawBuffer,
+    weights: list[float],
+    origins: np.ndarray | None,
     loads: np.ndarray,
-    cap: np.ndarray,
-    atol: float,
-    cand: np.ndarray,
-    w: np.ndarray,
-    timings: dict[str, float] | None = None,
+    cap: list[float],
+    bound: list[float],
+    max_probes: int,
+    place: bool,
     clock: Callable[[], float] | None = None,
-) -> np.ndarray:
-    """Admission verdicts for one probe wave, bit-equal to serial order.
+) -> tuple[list[int | None], list[Odd], float]:
+    """Decide a batch in arrival order, bit-identical to the scalar loop.
 
-    ``cand[i]`` is the probed resource of the ``i``-th pending decision
-    (arrival order) and ``w[i]`` its weight.  Returns a boolean mask:
-    would the scalar loop, processing decisions in order and committing
-    each admitted weight before checking the next, admit this probe?
+    ``kind`` is one of ``"uniform"`` (every probe is the next integer
+    draw), ``"walk-user"`` (every probe is a walk step from the
+    cursor, the first from the decision's origin) and
+    ``"walk-resource"`` (the origin probes itself, later probes step
+    the walk).  ``buf`` must draw integers for the uniform kind and
+    doubles otherwise.  ``cap`` and ``bound`` are the capacity and the
+    admission bound (capacity plus tolerance, bitwise the scalar
+    compare's right-hand side) as Python lists.  ``place`` selects the
+    overflow mode: place an unadmittable task on the probed resource
+    with the most headroom, or reject it.
 
-    Float sums are order-sensitive, so the gate *simulates* the serial
-    commits: candidates are grouped by resource with a stable sort
-    (arrival order survives within each group) and admitted
-    rank-by-rank — each rank touches every resource at most once, so a
-    single vectorised compare-and-add per rank reproduces the exact
-    partial sums of the scalar loop.  ``loads`` is scratch-mutated and
-    restored before returning; committing the verdicts is the caller's
-    job.  When ``timings`` is given (with an injected ``clock``), time
-    spent past rank zero is accumulated under ``"conflict"``
-    (intra-batch conflicts only arise when a resource is probed more
-    than once per wave).
+    Commits admitted weights into ``loads``; ids, pending buffers and
+    counters stay with the caller.  Returns ``(resources, odd,
+    conflict_seconds)``: the chosen resource per decision (``None`` if
+    rejected), one :data:`Odd` record per decision that did not admit
+    on its first probe, and — with an injected ``clock`` — the time
+    spent on those decisions.
     """
-    if timings is not None and clock is None:
-        raise ValueError("timings requires an injected clock")
-    k = int(cand.shape[0])
-    ok = np.zeros(k, dtype=bool)
-    if not k:
-        return ok
-    order = np.argsort(cand, kind="stable")
-    sorted_cand = cand[order]
-    group_first = np.empty(k, dtype=bool)
-    group_first[0] = True
-    np.not_equal(sorted_cand[1:], sorted_cand[:-1], out=group_first[1:])
-    positions = np.arange(k)
-    group_start = np.maximum.accumulate(
-        np.where(group_first, positions, 0)
-    )
-    rank = positions - group_start
-    touched = sorted_cand[group_first]
-    saved = loads[touched].copy()
-    depth = int(rank.max())
-    t0 = 0.0
-    for r in range(depth + 1):
-        if timings is not None and r == 1:
-            t0 = clock()
-        sel = order[rank == r]
-        c = cand[sel]
-        ww = w[sel]
-        admit = loads[c] + ww <= cap[c] + atol
-        hit = sel[admit]
-        ok[hit] = True
-        loads[cand[hit]] += w[hit]
-    if timings is not None and depth > 0:
-        timings["conflict"] = (
-            timings.get("conflict", 0.0) + clock() - t0
-        )
-    loads[touched] = saved
-    return ok
-
-
-def gate_prefix_serial(
-    loads: np.ndarray,
-    capa: np.ndarray,
-    sel: list[int],
-    ws: list[float],
-) -> int:
-    """First serial-order refusal in a duplicated wave prefix.
-
-    Pure-Python replay of the scalar commit order, cheaper than
-    :func:`gate_wave`'s sort machinery for the narrow prefixes lazy
-    gating produces.  ``capa`` must be the elementwise ``cap + atol``
-    array (bitwise the scalar compare's right-hand side).  The running
-    value per resource accumulates exactly like the scalar loop's
-    ``loads[c] += w`` — absolute loads, not deltas, so every compare
-    sees the identical partial sum.  Returns the index of the first
-    refused decision, or ``len(sel)`` if the whole prefix admits.
-    """
-    vals: dict[int, float] = {}
-    get = vals.get
-    for idx, c in enumerate(sel):
-        v = get(c)
-        if v is None:
-            v = loads[c]
-        nv = v + ws[idx]
-        if nv > capa[c]:
-            return idx
-        vals[c] = nv
-    return len(sel)
-
-
-def first_failure(ok: np.ndarray) -> int:
-    """Index of the first ``False`` verdict, or ``len(ok)`` if none."""
-    k = int(ok.shape[0])
-    if not k:
-        return 0
-    # argmin on a bool array is the first False (allocation-free);
-    # all-True degenerates to index 0, disambiguated by one lookup
-    j = int(ok.argmin())
-    return j if not ok[j] else k
+    k = len(weights)
+    uniform = kind == "uniform"
+    speculate = kind == "walk-user"
+    per = 1 if uniform else 2  # draws per probe
+    ahead = kind != "walk-resource"  # first probes draw too
+    starts: list[int] = []
+    if kind == "walk-resource":
+        assert origins is not None
+        starts = origins.tolist()
+    touched: dict[int, float] = {}
+    get = touched.get
+    item = loads.item
+    res: list[int | None] = []
+    push = res.append
+    odd: list[Odd] = []
+    conflict = 0.0
+    vals: list[Any] = []
+    p = end = 0  # stream position in, and length of, the drawn block
+    targets: list[int] = []
+    win_lo = win_hi = 0  # decisions covered by ``targets``
+    for i, wi in enumerate(weights):
+        if uniform:
+            if p == end:
+                vals = buf.draw(k - i)
+                p, end = 0, len(vals)
+            c = vals[p]
+            p += 1
+        elif speculate:
+            if i == win_hi:
+                if p == end:
+                    vals = buf.draw(2 * (k - i))
+                    p, end = 0, len(vals)
+                span = min(2 * (i - win_lo) or k, (end - p) // 2)
+                assert origins is not None and walk is not None
+                u = np.array(vals[p + 1 : p + 2 * span : 2])
+                targets = walk_targets(walk, origins[i : i + span], u).tolist()
+                win_lo, win_hi = i, i + span
+            c = targets[i - win_lo]
+            p += 2
+        else:
+            c = starts[i]
+        x = get(c)
+        if x is None:
+            x = item(c)
+        if x + wi <= bound[c]:
+            touched[c] = x + wi
+            push(c)
+            continue
+        # The first probe was full: finish the decision exactly as
+        # ``choose_resource``'s probe loop does.
+        t0 = clock() if clock is not None else 0.0
+        chosen: int | None = None
+        best, best_room = c, cap[c] - x
+        probes = 1
+        while probes < max_probes:
+            if p == end:
+                vals = buf.draw(per * (k - i) if ahead else per)
+                p, end = 0, len(vals)
+            if uniform:
+                c = vals[p]
+                p += 1
+            else:
+                # vals[p] is the step's stay uniform, dead on a
+                # regular walk but part of the stream
+                assert walk is not None
+                c = int(
+                    walk_targets(
+                        walk,
+                        np.array([c], dtype=np.int64),
+                        np.array([vals[p + 1]]),
+                    )[0]
+                )
+                p += 2
+            probes += 1
+            x = get(c)
+            if x is None:
+                x = item(c)
+            if x + wi <= bound[c]:
+                chosen = c
+                break
+            room = cap[c] - x
+            if room > best_room:
+                best_room = room
+                best = c
+        if chosen is not None:
+            touched[chosen] = x + wi
+            push(chosen)
+            odd.append((i, probes, True, False))
+        elif place:
+            x = get(best)
+            if x is None:
+                x = item(best)
+            touched[best] = x + wi
+            push(best)
+            odd.append((i, probes, False, True))
+        else:
+            push(None)
+            odd.append((i, probes, False, False))
+        if speculate and probes > 1:
+            win_hi = i + 1  # the stream shifted: re-speculate
+        if clock is not None:
+            conflict += clock() - t0
+    assert p == end, "draw buffer must drain exactly"
+    for c, x in touched.items():
+        loads[c] = x
+    return res, odd, conflict

@@ -21,9 +21,9 @@ and exposes four verbs:
     live-load vector; the O(m) task arrays sync lazily at the next
     :meth:`Router.tick`, which keeps a decision O(probes) regardless of
     the live population.  ``choose_many(weights)`` is the bulk form:
-    whole probe waves planned in NumPy (:mod:`repro.router.bulk`),
-    bit-identical to the scalar loop, with ``submit_many`` as the
-    matching bulk ingestion verb.
+    block-drawn candidates decided in arrival order by one tight loop
+    (:mod:`repro.router.bulk`), bit-identical to the scalar loop, with
+    ``submit_many`` as the matching bulk ingestion verb.
 ``depart(ids)``
     Retire previously placed tasks (capacity is released immediately;
     array compaction is deferred like arrivals).
@@ -57,7 +57,7 @@ from __future__ import annotations
 import time  # lint: allow-rng
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, cast
 
 import numpy as np
 
@@ -67,15 +67,7 @@ from ..core.protocols.resource_controlled import ResourceControlledProtocol
 from ..core.protocols.user_controlled import UserControlledProtocol
 from ..core.state import SystemState
 from ..core.thresholds import validate_weight, validate_weights
-from .bulk import (
-    DrawBuffer,
-    Walk,
-    first_failure,
-    gate_prefix_serial,
-    gate_wave,
-    is_regular_walk,
-    walk_targets,
-)
+from .bulk import DrawBuffer, Walk, is_regular_walk, resolve_serial
 
 if TYPE_CHECKING:
     from ..core.backends import TrialSetup
@@ -161,6 +153,14 @@ class Decision(NamedTuple):
         return self.resource is not None
 
 
+#: ``Decision._make`` without its Python-level length check: the bulk
+#: path builds one Decision per decision, and the check's frame costs
+#: more than the tuple.
+_new_decision = cast(
+    "Callable[[type[Decision], tuple[Any, ...]], Decision]", tuple.__new__
+)
+
+
 @dataclass(frozen=True)
 class RouterMetrics:
     """Point-in-time metrics snapshot of a :class:`Router`.
@@ -228,64 +228,85 @@ class RouterMetrics:
 _RESERVOIR_CAPACITY = 4096
 
 
-class _LatencyReservoir:
-    """Fixed-size uniform sample of decision latencies (Vitter's
-    algorithm R): O(1) per append, and a snapshot percentile whose cost
-    depends on the reservoir capacity — never on how many decisions the
-    router has served.  Exact until the reservoir fills; past that,
-    percentiles are over a uniform sample of all appends.
+#: Kept appends the reservoir schedules per block of private draws.
+_KEEPS_PER_BLOCK = 256
 
-    The replacement draws come from a private fixed-seed generator:
-    latency is a diagnostic, and whether a sample is kept must never
-    move the router's decision stream.
+
+class _LatencyReservoir:
+    """Fixed-size uniform sample of decision latencies: O(1) per
+    append, and a snapshot percentile whose cost depends on the
+    reservoir capacity — never on how many decisions the router has
+    served.  Exact until the reservoir fills; past that, percentiles
+    are over a uniform sample of all appends.
+
+    Sampling is Li's Algorithm L: instead of one draw per append (as
+    in Vitter's algorithm R), the gap to the next kept append is drawn
+    from the running weight ``W``, so an append that is not kept costs
+    one comparison, and ``extend`` pays per kept append rather than
+    per repeat.  The kept set has the same distribution as algorithm
+    R's.  ``W`` shrinks by a factor that does not depend on the gaps,
+    so a block of upcoming kept positions and their slots is computed
+    ahead in a few array operations.  The draws come from a private
+    fixed-seed generator: latency is a diagnostic, and whether a sample
+    is kept must never move the router's decision stream.
     """
 
-    __slots__ = ("data", "size", "count", "_rng")
+    __slots__ = ("data", "size", "count", "_rng", "_w", "_pos", "_slot", "_j")
 
     def __init__(self, capacity: int = _RESERVOIR_CAPACITY) -> None:
         self.data = np.empty(int(capacity), dtype=np.float64)
         self.size = 0
         self.count = 0
         self._rng = np.random.default_rng(0x5EED)
+        self._w = 1.0
+        # the schedule: positions (in append order) of the next kept
+        # appends, the slot each one overwrites, and the next one due;
+        # planned once the warm-up fills, so a router that never
+        # decides never draws
+        self._pos: list[int] = []
+        self._slot: list[int] = []
+        self._j = 0
+
+    def _plan(self, last: int) -> None:
+        """Schedule the next block of kept appends after ``last``."""
+        cap = self.data.shape[0]
+        u = self._rng.random((3, _KEEPS_PER_BLOCK))
+        # 1 - u lies in (0, 1], so every log is finite
+        w = self._w * np.exp(np.cumsum(np.log1p(-u[0])) / cap)
+        gap = np.floor(np.log1p(-u[1]) / np.log1p(-w)).astype(np.int64)
+        self._w = float(w[-1])
+        self._pos = (last + np.cumsum(gap + 1)).tolist()
+        slot = (u[2] * cap).astype(np.int64)
+        self._slot = np.minimum(slot, cap - 1).tolist()
+        self._j = 0
 
     def append(self, value: float) -> None:
-        cap = self.data.shape[0]
-        if self.size < cap:
-            self.data[self.size] = value
-            self.size += 1
-        else:
-            j = int(self._rng.integers(0, self.count + 1))
-            if j < cap:
-                self.data[j] = value
-        self.count += 1
+        self.extend(value, 1)
 
     def extend(self, value: float, repeats: int) -> None:
         """Append one value ``repeats`` times (bulk amortised latency).
 
-        The warm-up region is filled as a slice.  Past capacity, the
-        replacement draws happen as one block — every append carries
-        the same value, so a slot hit by any of them ends up holding
-        ``value`` exactly as the sequential loop would leave it, and
-        the per-append Python cost disappears from the serving path.
+        Same draws, same kept slots and same end state as ``repeats``
+        calls of :meth:`append`: the warm-up region is filled as a
+        slice, and past it only the kept appends cost anything.
         """
+        self.count = end = self.count + repeats
         cap = self.data.shape[0]
-        fill = min(repeats, cap - self.size)
-        if fill > 0:
-            self.data[self.size : self.size + fill] = value
-            self.size += fill
-            self.count += fill
-            repeats -= fill
-        if repeats <= 0:
-            return
-        # algorithm R, vectorised: the i-th remaining append replaces
-        # slot j ~ U[0, count_i] (count_i its pre-append count), kept
-        # only when j lands inside the reservoir
-        counts = self.count + np.arange(repeats, dtype=np.int64)
-        j = self._rng.integers(0, counts + 1)
-        hits = j[j < cap]
-        if hits.size:
-            self.data[hits] = value
-        self.count += repeats
+        size = self.size
+        if size < cap:
+            self.size = min(end, cap)
+            self.data[size : self.size] = value
+            if self.size < cap:
+                return
+            self._plan(cap - 1)
+        pos, j = self._pos, self._j
+        while pos[j] < end:
+            self.data[self._slot[j]] = value
+            j += 1
+            if j == _KEEPS_PER_BLOCK:
+                self._plan(pos[-1])
+                pos, j = self._pos, 0
+        self._j = j
 
     def array(self) -> np.ndarray:
         return self.data[: self.size]
@@ -328,9 +349,9 @@ class Router:
         When true, accumulate wall time per kernel phase in
         :attr:`phase_seconds` (``rng`` / ``gating`` / ``conflict`` /
         ``sync`` / ``fallback``) so serving work starts from data:
-        ``rng`` is generator draws, ``gating`` the vectorised probe
-        waves (``conflict`` the portion spent resolving intra-batch
-        capacity conflicts past rank zero), ``sync`` the deferred
+        ``rng`` is the block draws of :meth:`choose_many`, ``gating``
+        its resolver loop (``conflict`` the part of it spent on
+        decisions whose first probe was full), ``sync`` the deferred
         array flush, ``fallback`` time inside the scalar fallback of
         :meth:`choose_many`.
     """
@@ -373,6 +394,9 @@ class Router:
         # admission bound with tolerance folded in, cached so the
         # per-round balance check is a single comparison
         self._bound = self._cap + state.atol
+        # both as Python lists for choose_many's resolver; rebuilt
+        # lazily after refresh_capacity
+        self._cap_lists: tuple[list[float], list[float]] | None = None
 
         # Stable external ids, aligned with the state's task order.
         self._ids = np.arange(state.m, dtype=np.int64)
@@ -394,8 +418,8 @@ class Router:
         self._profile = bool(profile)
         #: Cumulative seconds per kernel phase (see the ``profile``
         #: parameter).  ``rng`` and ``fallback`` accumulate always
-        #: (they cost two clock reads per batch); the per-wave phases
-        #: only when profiling is on.
+        #: (they cost two clock reads per block draw or batch); the
+        #: other phases only when profiling is on.
         self.phase_seconds: dict[str, float] = {
             "rng": 0.0,
             "gating": 0.0,
@@ -525,12 +549,15 @@ class Router:
         same placements, same probe counts, same counters, same
         generator end state (gated by
         ``tests/properties/test_bulk_equivalence.py``).  The fast path
-        plans whole probe waves in NumPy (:mod:`repro.router.bulk`):
-        one block draw per wave, one array comparison against the
-        effective-capacity view, a rank loop that resolves intra-batch
-        capacity conflicts in arrival order, and scalar resolution out
-        of the wave's FIFO buffer for the (rare) decision that needs
-        more than one probe.
+        is one serial resolver (:mod:`repro.router.bulk`): the
+        candidates the batch is guaranteed to consume are block-drawn,
+        then one tight loop decides in arrival order, gating every
+        probe exactly as :meth:`choose_resource` does, with touched
+        loads carried as Python floats (written back once) and
+        capacities read from lazily cached Python lists.  It skips the
+        scalar verb's per-decision overhead — validation, clock reads,
+        one generator call per probe, NumPy scalar arithmetic — so it
+        beats the loop from micro-batches up, saturated or not.
 
         Protocol shapes whose draw sequences mix stream kinds fall
         back to the scalar loop automatically — hybrid protocols (the
@@ -546,7 +573,8 @@ class Router:
         """
         t0 = self._clock()
         w = validate_weights(weights).reshape(-1)
-        k = int(w.shape[0])
+        w_list = w.tolist()
+        k = len(w_list)
         if k == 0:
             return []
         n = self.state.n
@@ -568,7 +596,7 @@ class Router:
             tf = self._clock()
             out = [  # lint: allow-bulk (the sanctioned scalar site)
                 self.choose_resource(
-                    float(w[t]), None if org is None else int(org[t])
+                    w_list[t], None if org is None else int(org[t])
                 )
                 for t in range(k)
             ]
@@ -576,168 +604,76 @@ class Router:
             return out
 
         kind, walk = plan
-        atol = self.state.atol
-        loads = self._loads
-        cap = self._cap
-        # `_bound[r]` is bitwise `cap[r] + atol` (elementwise add), so
-        # gating against it equals the scalar compare exactly
-        capa = self._bound
-        w_list = w.tolist()
-        prof = self._profile
-        phases = self.phase_seconds
-        timings: dict[str, float] | None = (
-            {"conflict": 0.0} if prof else None
+        if self._cap_lists is None:
+            # built on first use after a capacity change, not inside
+            # refresh_capacity: replay rethresholds almost every round
+            # and never decides
+            self._cap_lists = (self._cap.tolist(), self._bound.tolist())
+        cap, bound = self._cap_lists
+        clock = self._clock
+        buf = DrawBuffer(
+            self.rng, n if kind == "uniform" else None, clock=clock
         )
-        if kind == "uniform":
-            buf = DrawBuffer(self.rng, n, clock=self._clock)
-            per = 1
-        else:
-            buf = DrawBuffer(self.rng, clock=self._clock)
-            per = 2
-
-        res: list[int | None] = [None] * k
-        tids: list[int | None] = [None] * k
-        acc = np.zeros(k, dtype=bool)
-        ovf = np.zeros(k, dtype=bool)
-        prb = np.ones(k, dtype=np.int64)
-
-        i = 0
-        while i < k:
-            kk = k - i
-            tg = self._clock() if prof else 0.0
-            if kind == "walk-resource":
-                # probe 1: the origin resource examines itself (free)
-                cand = org[i:]
-            elif kind == "walk-user":
-                buf.top_up(2 * kk)
-                u = buf.peek(2 * kk)
-                # even positions are the stay uniforms (dead on a
-                # regular walk, but part of the stream); odd positions
-                # pick the neighbour slots
-                cand = walk_targets(walk, org[i:], u[1::2])
-            else:
-                buf.top_up(kk)
-                # a view is safe: the buffer only ever swaps in a new
-                # backing array on top-up, never writes in place
-                cand = buf.peek(kk)
-            ws = w[i:]
-            # Conflict-blind verdicts first: exact up to the first
-            # failure as long as no resource repeats inside that
-            # prefix (no intra-batch partial sums involved).  Only a
-            # duplicated prefix pays a serial-order gate, and only
-            # over the prefix — the wave is truncated there anyway.
-            pred = loads[cand] + ws <= capa[cand]
-            j = int(pred.argmin())
-            if pred[j]:
-                j = kk
-            sel_list = cand[:j].tolist()
-            if j > 1 and len(set(sel_list)) != j:
-                # narrow prefixes (the common case) replay the serial
-                # commit order in Python; wide ones amortise the
-                # vectorised rank gate's sort machinery
-                if j <= 96:
-                    tc = (
-                        self._clock() if timings is not None else 0.0
-                    )
-                    jj = gate_prefix_serial(
-                        loads, capa, sel_list, w_list[i : i + j]
-                    )
-                    if timings is not None:
-                        timings["conflict"] += self._clock() - tc
-                else:
-                    ok = gate_wave(
-                        loads,
-                        cap,
-                        atol,
-                        cand[:j],
-                        ws[:j],
-                        timings,
-                        self._clock,
-                    )
-                    jj = first_failure(ok)
-                if jj != j:
-                    j = jj
-                    sel_list = sel_list[:j]
-            if prof:
-                phases["gating"] += self._clock() - tg
-            if j:
-                # commit the admitted prefix: these decisions consumed
-                # exactly one probe each, in arrival order
-                if kind != "walk-resource":
-                    buf.consume(per * j)
-                sel = cand[:j]
-                np.add.at(loads, sel, w[i : i + j])
-                nid = self._next_id
-                new_ids = range(nid, nid + j)
-                res[i : i + j] = sel_list
-                tids[i : i + j] = new_ids
-                self._pend_ids.extend(new_ids)
-                self._pend_w.extend(w_list[i : i + j])
-                self._pend_r.extend(sel_list)
-                self._next_id = nid + j
-                acc[i : i + j] = True
-                i += j
-            if i < k and j < kk:
-                # first failing decision: finish it scalar-style from
-                # the buffer (its probe-1 draws are at the head)
-                first_cand = int(cand[j])
-                if kind != "walk-resource":
-                    buf.consume(per)
-                    # Prefetch: the failing decision makes >=1 extra
-                    # probe and each of the kk-j-1 decisions behind it
-                    # >=1 probe, all from this buffer, so per*(kk-j)
-                    # draws are guaranteed to be consumed by batch end
-                    # — one generator call instead of take-by-take
-                    # top-ups plus the next wave's shortfall fill.
-                    buf.top_up(per * (kk - j))
-                else:
-                    # only the failing decision's own next probe (one
-                    # stay + slot pair) is guaranteed here: the other
-                    # decisions' first probes are draw-free
-                    buf.top_up(per)
-                chosen, probes, accepted, overflowed = (
-                    self._resolve_from_buffer(
-                        kind,
-                        walk,
-                        buf,
-                        float(w[i]),
-                        first_cand,
-                        loads,
-                        cap,
-                        atol,
-                    )
-                )
-                prb[i] = probes
-                if chosen is not None:
-                    res[i] = chosen
-                    tids[i] = self._record_pending(float(w[i]), chosen)
-                    loads[chosen] += float(w[i])
-                acc[i] = accepted
-                ovf[i] = overflowed
-                i += 1
-        assert buf.available == 0, "draw buffer must drain exactly"
-
+        prof = self._profile
+        tg = clock() if prof else 0.0
+        res, odd, conflict = resolve_serial(
+            kind,
+            walk,
+            buf,
+            w_list,
+            org,
+            self._loads,
+            cap,
+            bound,
+            self.max_probes,
+            self.overflow == "place",
+            clock if prof else None,
+        )
+        phases = self.phase_seconds
+        if prof:
+            phases["gating"] += clock() - tg
+            phases["conflict"] += conflict
         phases["rng"] += buf.fill_seconds
-        if timings is not None:
-            phases["conflict"] += timings["conflict"]
-        n_acc = int(acc.sum())
-        n_ovf = int(ovf.sum())
-        self._decisions += k
-        self._accepted += n_acc
-        self._overflowed += n_ovf
-        self._rejected += k - n_acc - n_ovf
-        self._probes += int(prb.sum())
-        per_lat = (self._clock() - t0) / k
-        self._latency.extend(per_lat, k)
-        # `.tolist()` up front so the build loop hands native
-        # bool/int/float scalars to the tuple constructor
-        make = Decision._make
-        return [
-            make((r_, tid, a_, o_, p_, w_, per_lat))
-            for r_, tid, a_, o_, p_, w_ in zip(
-                res, tids, acc.tolist(), ovf.tolist(), prb.tolist(), w_list
+
+        extra = n_ovf = n_rej = 0
+        for _, probes, accepted, overflowed in odd:
+            extra += probes - 1
+            n_ovf += overflowed
+            n_rej += not (accepted or overflowed)
+        # ids go to the placed decisions, in arrival order
+        nid = self._next_id
+        self._next_id = nid + k - n_rej
+        tids: list[int | None] | range
+        if n_rej:
+            ids = iter(range(nid, self._next_id))
+            tids = [None if r is None else next(ids) for r in res]
+            self._pend_w.extend(
+                [x for x, r in zip(w_list, res) if r is not None]
             )
+            self._pend_r.extend([r for r in res if r is not None])
+        else:
+            tids = range(nid, self._next_id)
+            self._pend_w.extend(w_list)
+            self._pend_r.extend(cast("list[int]", res))
+        self._pend_ids.extend(range(nid, self._next_id))
+        self._decisions += k
+        self._accepted += k - n_ovf - n_rej
+        self._overflowed += n_ovf
+        self._rejected += n_rej
+        self._probes += k + extra
+        per_lat = (clock() - t0) / k
+        self._latency.extend(per_lat, k)
+        new = _new_decision
+        out = [
+            new(Decision, (r, tid, True, False, 1, x, per_lat))
+            for r, tid, x in zip(res, tids, w_list)
         ]
+        for i, nprobe, ok, ovf in odd:
+            out[i] = new(
+                Decision,
+                (res[i], tids[i], ok, ovf, nprobe, w_list[i], per_lat),
+            )
+        return out
 
     def submit(self, weight: float, resource: int) -> int:
         """Force-place one task (no admission probing); return its id.
@@ -924,6 +860,7 @@ class Router:
             cap = np.full(self.state.n, float(cap))
         self._cap = cap
         self._bound = cap + self.state.atol
+        self._cap_lists = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -984,17 +921,13 @@ class Router:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _record_pending(self, weight: float, resource: int) -> int:
-        """Assign the next id and buffer the arrival (no load update)."""
+    def _buffer_arrival(self, weight: float, resource: int) -> int:
+        """Assign the next id, buffer the arrival and add its load."""
         task_id = self._next_id
         self._next_id += 1
         self._pend_ids.append(task_id)
         self._pend_w.append(weight)
         self._pend_r.append(resource)
-        return task_id
-
-    def _buffer_arrival(self, weight: float, resource: int) -> int:
-        task_id = self._record_pending(weight, resource)
         self._loads[resource] += weight
         return task_id
 
@@ -1003,10 +936,10 @@ class Router:
     ) -> tuple[str, Walk | None] | None:
         """Classify a batch into a fast-path kind, or ``None``.
 
-        The kernel needs every decision in the batch to draw from one
-        homogeneous stream kind with a statically known count per
-        probe, so the wave's block draw occupies exactly the stream
-        positions the scalar loop would consume.  Three shapes
+        The resolver needs every decision in the batch to draw from
+        one homogeneous stream kind with a statically known count per
+        probe, so its block draws occupy exactly the stream positions
+        the scalar loop would consume.  Three shapes
         qualify: ``"uniform"`` (user family, no walk — one integer
         draw per probe), ``"walk-user"`` (regular walk from a given
         origin — two doubles per probe) and ``"walk-resource"``
@@ -1044,62 +977,6 @@ class Router:
             self.last_bulk_fallback = "lazy-walk"
             return None
         return "walk-resource", walk
-
-    def _resolve_from_buffer(
-        self,
-        kind: str,
-        walk: Walk | None,
-        buf: DrawBuffer,
-        w: float,
-        first_cand: int,
-        loads: np.ndarray,
-        cap: np.ndarray,
-        atol: float,
-    ) -> tuple[int | None, int, bool, bool]:
-        """Finish one wave-rejected decision with scalar semantics.
-
-        Replicates the :meth:`choose_resource` probe loop exactly —
-        same headroom bookkeeping, same acceptance compare, same
-        overflow choice — but candidate draws come out of the wave's
-        FIFO buffer, which holds them at the very stream positions the
-        scalar loop would have consumed.  Returns ``(chosen, probes,
-        accepted, overflowed)``; committing the task (loads, pending
-        buffer, counters) stays with the caller.
-        """
-        cursor = first_cand
-        chosen: int | None = None
-        best: int | None = None
-        best_room = -np.inf
-        probes = 0
-        while probes < self.max_probes:
-            if probes > 0:
-                if kind == "uniform":
-                    cursor = int(buf.take())
-                else:
-                    buf.take()  # the dead stay uniform (regular walk)
-                    slot_u = buf.take()
-                    assert walk is not None
-                    cursor = int(
-                        walk_targets(
-                            walk,
-                            np.asarray([cursor], dtype=np.int64),
-                            np.asarray([slot_u], dtype=np.float64),
-                        )[0]
-                    )
-            probes += 1
-            room = cap[cursor] - loads[cursor]
-            if loads[cursor] + w <= cap[cursor] + atol:
-                chosen = cursor
-                break
-            if room > best_room:
-                best_room = room
-                best = cursor
-        accepted = chosen is not None
-        overflowed = False
-        if not accepted and self.overflow == "place":
-            chosen = best
-            overflowed = True
-        return chosen, probes, accepted, overflowed
 
     def _pick_family(self) -> bool:
         """Whether this decision uses resource-controlled semantics."""

@@ -26,6 +26,7 @@ from repro import (
     UserControlledProtocol,
     replay_setup,
 )
+from repro.core.stack import ResourceStack
 from repro.core.thresholds import (
     FixedThreshold,
     ProportionalThresholds,
@@ -101,6 +102,12 @@ VERBS = {
     "normalize_min_speed": lambda w: normalize_min_speed([1.0, w]),
     "ProportionalThresholds": lambda w: ProportionalThresholds(
         speeds=(1.0, w)
+    ),
+    "ResourceStack.push": lambda w: ResourceStack(10.0).push(0, w),
+    "ResourceStack(threshold)": lambda w: ResourceStack(w),
+    "ResourceStack(speed)": lambda w: ResourceStack(10.0, speed=w),
+    "UserControlledProtocol(wmax_estimate)": lambda w: UserControlledProtocol(
+        wmax_estimate=w
     ),
 }
 

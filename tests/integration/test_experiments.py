@@ -128,6 +128,14 @@ class TestRegistry:
             quick = exp.configure(preset="quick")
             assert type(quick) is type(exp.config_factory())
 
+    def test_misspelt_override_raises(self):
+        exp = EXPERIMENTS["tight_scaling"]
+        with pytest.raises(ValueError, match="'n_value'") as err:
+            exp.configure(preset="quick", n_value=(32,), trials=3)
+        assert "n_values" in str(err.value)  # the valid fields are listed
+        config = exp.configure(preset="quick", n_values=(32,), trials=3)
+        assert config.n_values == (32,) and config.trials == 3
+
 
 class TestDriversSmoke:
     """Each driver runs end to end on a tiny instance and produces the
