@@ -112,11 +112,11 @@ import numpy as np
 
 from repro import (
     CompleteNeighbors,
+    PoolDegradationWarning,
     Router,
-    ShardedBackend,
-    ShardedDegradationWarning,
     TorusNeighbors,
     complete_graph,
+    get_backend,
     replay_setup,
     run_trials,
     summarize_runs,
@@ -817,16 +817,16 @@ def group_e_scale(report: dict, quick: bool, seed: int) -> dict:
         0,
     )
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ShardedDegradationWarning)
+        warnings.simplefilter("always", PoolDegradationWarning)
         shard_entry = time_backend(
             impl_setup,
             shard_trials,
             seed,
-            ShardedBackend(workers=-1),
+            get_backend("sharded", workers=-1),
             max_rounds=max_rounds,
         )
     degraded = any(
-        issubclass(w.category, ShardedDegradationWarning) for w in caught
+        issubclass(w.category, PoolDegradationWarning) for w in caught
     )
     record(
         shard_entry,

@@ -71,8 +71,8 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "process-pool size for the process backend, or shard count "
-            "for the sharded backend (-1 = all cores)"
+            "process-pool size for the process and sharded backends "
+            "(-1 = all cores)"
         ),
     )
     parser.add_argument(

@@ -4,18 +4,20 @@ The engine is layered: :class:`SystemState` holds who-is-where,
 :func:`partition_stacks` derives the below/cutting/above decomposition,
 the protocols implement one synchronous round, :func:`simulate` drives a
 single trial, and the *backends* (:mod:`repro.core.backends`) execute
-multi-trial sweeps — serially, over a process pool, or vectorised
-across trials in one process (:class:`~repro.core.batch.BatchedBackend`).
-All backends reproduce the same per-trial results from a shared root
-seed; pick one via ``run_trials(..., backend=...)`` using any name in
-:data:`~repro.core.backends.BACKEND_NAMES` (``sharded`` fans the
-batched engine out over a process pool, see :mod:`repro.core.sharded`).
+multi-trial sweeps — serially, vectorised across trials in one process
+(:class:`~repro.core.batch.BatchedBackend`), or either of those over a
+process pool (:class:`~repro.core.backends.PoolBackend`).  All backends
+reproduce the same per-trial results from a shared root seed; pick one
+via ``run_trials(..., backend=...)`` using any name in
+:data:`~repro.core.backends.BACKEND_NAMES` (``process`` pools the dense
+engine, ``sharded`` the batched one).
 """
 
 from .backends import (
     BACKEND_NAMES,
     DenseBackend,
-    ProcessBackend,
+    PoolBackend,
+    PoolDegradationWarning,
     SimulationBackend,
     get_backend,
     validate_workers,
@@ -56,7 +58,6 @@ from .reference import (
     reference_user_step,
 )
 from .runner import run_single_trial, run_trial_summary, run_trials
-from .sharded import ShardedBackend, ShardedDegradationWarning
 from .simulator import RunResult, simulate
 from .stack import ResourceStack, StackPartition, partition_stacks
 from .state import SystemState
@@ -83,14 +84,13 @@ __all__ = [
     "DynamicSummary",
     "FixedThreshold",
     "HybridProtocol",
-    "ProcessBackend",
+    "PoolBackend",
+    "PoolDegradationWarning",
     "ProportionalThresholds",
     "Protocol",
     "ResourceControlledProtocol",
     "ResourceStack",
     "RunResult",
-    "ShardedBackend",
-    "ShardedDegradationWarning",
     "SimulationBackend",
     "StackPartition",
     "StepStats",

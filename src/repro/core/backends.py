@@ -3,28 +3,26 @@
 A *backend* turns a :class:`TrialSetup` plus a list of per-trial
 ``SeedSequence`` children into a list of
 :class:`~repro.core.simulator.RunResult` objects.  All backends share
-the same reproducibility contract: trial ``i`` derives its setup and
-simulation generators from ``seed_seqs[i].spawn(2)``, so for a fixed
-root seed every backend produces the same per-trial randomness and
-(for the dense paths) identical results regardless of scheduling.
+one reproducibility contract, :func:`build_trial`: trial ``i`` derives
+its setup and simulation generators from ``seed_seqs[i].spawn(2)``, so
+for a fixed root seed every backend produces the same per-trial
+randomness and identical results regardless of scheduling.
 
-Four backends ship with the engine:
+Two engines and one pool ship with the engine:
 
 ``serial`` (:class:`DenseBackend`)
     One trial at a time through :func:`~repro.core.simulator.simulate`.
     The reference semantics; always available; supports traces.
-``process`` (:class:`ProcessBackend`)
-    The dense path fanned out over a ``ProcessPoolExecutor``.  Requires
-    the setup callable to be picklable.
 ``batched`` (:class:`~repro.core.batch.BatchedBackend`)
     Runs many trials in one process on stacked arrays, vectorising the
     per-round work across trials (see :mod:`repro.core.batch`).  Matches
-    the dense backends trial-for-trial, bit-for-bit, on shared seeds.
-``sharded`` (:class:`~repro.core.sharded.ShardedBackend`)
-    The batched engine fanned out over a process pool — one contiguous
-    trial shard per worker, final loads merged back through shared
-    memory (see :mod:`repro.core.sharded`).  Bit-identical to
-    ``batched`` (and hence ``serial``) on shared seeds.
+    the dense backend trial-for-trial, bit-for-bit, on shared seeds.
+``process`` and ``sharded`` (:class:`PoolBackend`)
+    Either engine fanned out over a process pool: ``process`` over the
+    dense engine, ``sharded`` over the batched one.  Each worker runs
+    one contiguous shard of the trial list and the shards come back by
+    pickling, in trial order, so the output is bit-identical to the
+    inner engine's.  The setup callable must be picklable.
 
 Use :func:`get_backend` to resolve a name (or pass an instance with
 custom parameters) and ``run_trials(..., backend=...)`` in
@@ -34,6 +32,7 @@ custom parameters) and ``run_trials(..., backend=...)`` in
 from __future__ import annotations
 
 import os
+import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from typing import Protocol as TypingProtocol
@@ -48,8 +47,10 @@ __all__ = [
     "TrialSetup",
     "SimulationBackend",
     "DenseBackend",
-    "ProcessBackend",
+    "PoolBackend",
+    "PoolDegradationWarning",
     "BACKEND_NAMES",
+    "build_trial",
     "get_backend",
     "run_single_trial",
     "validate_workers",
@@ -66,7 +67,7 @@ def validate_workers(workers: int | None) -> None:
     or ``-1`` (all cores).  Everything else — in particular ``0``, which
     historically meant "serial" to some layers and was an error to
     others — raises one consistent ``ValueError`` from every entry
-    point (``run_trials``, :func:`get_backend`, ``ProcessBackend``).
+    point (``run_trials``, :func:`get_backend`, :class:`PoolBackend`).
     """
     if workers is None or workers == -1 or workers >= 1:
         return
@@ -89,6 +90,22 @@ class TrialSetup(TypingProtocol):
     ) -> tuple[Protocol, SystemState]: ...
 
 
+def build_trial(
+    setup: TrialSetup, seed_seq: np.random.SeedSequence
+) -> tuple[Protocol, SystemState, np.random.Generator]:
+    """Build one trial on the seed contract: ``seed_seq.spawn(2)``
+    gives a setup stream, then a protocol stream.
+
+    Returns the protocol and state built from the setup stream, and the
+    generator the protocol draws from.  Every engine and the router
+    start a trial here, so trial ``i`` sees the same workload and the
+    same protocol draws wherever it runs.
+    """
+    setup_seed, sim_seed = seed_seq.spawn(2)
+    protocol, state = setup(np.random.default_rng(setup_seed))
+    return protocol, state, np.random.default_rng(sim_seed)
+
+
 def run_single_trial(
     setup: TrialSetup,
     seed_seq: np.random.SeedSequence,
@@ -96,12 +113,11 @@ def run_single_trial(
     record_traces: bool = False,
 ) -> RunResult:
     """Run one trial with randomness derived from ``seed_seq``."""
-    setup_seed, sim_seed = seed_seq.spawn(2)
-    protocol, state = setup(np.random.default_rng(setup_seed))
+    protocol, state, rng = build_trial(setup, seed_seq)
     return simulate(
         protocol,
         state,
-        np.random.default_rng(sim_seed),
+        rng,
         max_rounds=max_rounds,
         record_traces=record_traces,
     )
@@ -143,35 +159,69 @@ class DenseBackend(SimulationBackend):
         ]
 
 
-def _worker(
-    args: tuple[TrialSetup, np.random.SeedSequence, int, bool],
-) -> RunResult:
-    setup, seed_seq, max_rounds, record_traces = args
-    return run_single_trial(setup, seed_seq, max_rounds, record_traces)
+class PoolDegradationWarning(RuntimeWarning):
+    """A pool backend ran its trials in-process instead.
+
+    Results are unaffected (the inner engine runs the same trials), but
+    the call gets no multi-core speedup.  Emitted once per
+    ``run_trials`` call.
+    """
 
 
-class ProcessBackend(SimulationBackend):
-    """The dense path fanned out over a process pool.
+#: Registry names of the pool over each inner engine.
+_POOL_NAMES = {"serial": "process", "batched": "sharded"}
+
+
+def _pool_worker(
+    args: tuple[
+        SimulationBackend,
+        TrialSetup,
+        list[np.random.SeedSequence],
+        int,
+        bool,
+    ],
+) -> list[RunResult]:
+    """Run one contiguous shard of trials through the inner engine."""
+    inner, setup, seed_seqs, max_rounds, record_traces = args
+    return inner.run_trials(setup, seed_seqs, max_rounds, record_traces)
+
+
+class PoolBackend(SimulationBackend):
+    """An inner engine fanned out over a process pool.
+
+    The trial list is cut into one contiguous shard per worker; each
+    worker runs ``inner`` on its shard, and the shards are concatenated
+    in trial order.  Trial streams are independent (per-trial
+    ``SeedSequence`` children) and the engines' results do not depend
+    on how trials are grouped, so the output is bit-identical to
+    ``inner.run_trials`` on the same seeds.
 
     Parameters
     ----------
+    inner:
+        The engine each worker runs: :class:`DenseBackend` (registry
+        name ``process``) or :class:`~repro.core.batch.BatchedBackend`
+        (``sharded``).
     workers:
-        Pool size, capped at ``os.cpu_count()``; ``-1`` = all cores.
+        Pool size; ``-1`` (default) = ``os.cpu_count()``.  An explicit
+        count is honoured even beyond the core count.  Either is capped
+        at the trial count.  A pool of one runs ``inner`` in-process
+        and warns (:class:`PoolDegradationWarning`).
     """
 
-    name = "process"
-
-    def __init__(self, workers: int = -1) -> None:
+    def __init__(self, inner: SimulationBackend, workers: int = -1) -> None:
         # None means "backend default" to the runner layers; a concrete
         # pool needs a concrete size, so reject it here with the same
         # message instead of crashing in int() below.
         if workers is None:
             raise ValueError(
                 "workers must be a positive integer or -1 (all cores); "
-                "got None (ProcessBackend needs an explicit pool size)"
+                "got None (PoolBackend needs an explicit pool size)"
             )
         validate_workers(workers)
+        self.inner = inner
         self.workers = int(workers)
+        self.name = _POOL_NAMES.get(inner.name, f"pool({inner.name})")
 
     def run_trials(
         self,
@@ -180,21 +230,33 @@ class ProcessBackend(SimulationBackend):
         max_rounds: int = 100_000,
         record_traces: bool = False,
     ) -> list[RunResult]:
-        payloads = [
-            (setup, seed_seq, max_rounds, record_traces)
-            for seed_seq in seed_seqs
-        ]
+        if max_rounds < 0:  # before any pool starts
+            raise ValueError("max_rounds must be non-negative")
+        trials = len(seed_seqs)
         cpu = os.cpu_count() or 1
-        nproc = cpu if self.workers == -1 else min(self.workers, cpu)
+        nproc = min(cpu if self.workers == -1 else self.workers, trials)
         if nproc <= 1:
-            return [_worker(p) for p in payloads]
-        trials = len(payloads)
-        with ProcessPoolExecutor(max_workers=nproc) as pool:
-            return list(
-                pool.map(
-                    _worker, payloads, chunksize=max(1, trials // (4 * nproc))
-                )
+            warnings.warn(
+                f"{self.name} backend degraded to the in-process "
+                f"{self.inner.name} engine ({trials} trial(s), "
+                f"{cpu} core(s)) — results are identical, but there is "
+                "nothing to fan out over",
+                PoolDegradationWarning,
+                stacklevel=2,
             )
+            return self.inner.run_trials(
+                setup, seed_seqs, max_rounds, record_traces
+            )
+        # Contiguous shards, sized as evenly as possible; shard order ==
+        # trial order, so concatenating shard results restores it.
+        bounds = [trials * k // nproc for k in range(nproc + 1)]
+        payloads = [
+            (self.inner, setup, seed_seqs[lo:hi], max_rounds, record_traces)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        with ProcessPoolExecutor(max_workers=nproc) as pool:
+            shards = list(pool.map(_pool_worker, payloads))
+        return [result for shard in shards for result in shard]
 
 
 def get_backend(
@@ -204,32 +266,28 @@ def get_backend(
     """Resolve a backend name (or pass-through an instance).
 
     ``None`` keeps the historical behaviour of the runner: serial unless
-    ``workers`` asks for a pool.  ``workers`` parameterises the process
-    and sharded backends (pool/shard size); the serial and batched
-    backends ignore it.  ``workers`` values other than ``None``,
-    positive ints and ``-1`` are rejected up front (see
-    :func:`validate_workers`).
+    ``workers`` asks for a pool.  ``workers`` sizes the pool of the
+    process and sharded backends; the serial and batched backends
+    ignore it.  ``workers`` values other than ``None``, positive ints
+    and ``-1`` are rejected up front (see :func:`validate_workers`).
     """
     validate_workers(workers)
     if isinstance(backend, SimulationBackend):
         return backend
     if backend is None:
         backend = "serial" if workers in (None, 1) else "process"
-    if backend == "serial":
-        return DenseBackend()
-    if backend == "process":
-        return ProcessBackend(workers=workers if workers is not None else -1)
-    if backend == "batched":
+    inner: SimulationBackend
+    if backend in ("serial", "process"):
+        inner = DenseBackend()
+    elif backend in ("batched", "sharded"):
         from .batch import BatchedBackend
 
-        return BatchedBackend()
-    if backend == "sharded":
-        from .sharded import ShardedBackend
-
-        return ShardedBackend(
-            workers=workers if workers is not None else -1
+        inner = BatchedBackend()
+    else:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{BACKEND_NAMES} or a SimulationBackend instance"
         )
-    raise ValueError(
-        f"unknown backend {backend!r}; expected one of {BACKEND_NAMES} "
-        "or a SimulationBackend instance"
-    )
+    if backend in ("serial", "batched"):
+        return inner
+    return PoolBackend(inner, workers if workers is not None else -1)

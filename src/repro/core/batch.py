@@ -128,7 +128,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..workloads.dynamics import INFINITE_LIFETIME, DynamicsSchedule
-from .backends import SimulationBackend, TrialSetup
+from .backends import SimulationBackend, TrialSetup, build_trial
 from .protocols.base import Protocol
 from .protocols.user_controlled import _ceil_lots
 from .simulator import RunResult, _TraceBuffer, simulate
@@ -803,11 +803,10 @@ class BatchedBackend(SimulationBackend):
             positions.clear()
 
         for pos, seed_seq in enumerate(seed_seqs):
-            setup_seed, sim_seed = seed_seq.spawn(2)
-            protocol, state = setup(np.random.default_rng(setup_seed))
+            protocol, state, rng = build_trial(setup, seed_seq)
             protocols.append(protocol)
             states.append(state)
-            rngs.append(np.random.default_rng(sim_seed))
+            rngs.append(rng)
             positions.append(pos)
             if chunk_size is None:
                 chunk_size = max(1, DEFAULT_CHUNK_ELEMENTS // max(state.m, 1))

@@ -3,11 +3,12 @@
 Section 7 of the paper averages every data point over 1000 independent
 trials.  This module runs repeated simulations with properly independent
 randomness (``SeedSequence.spawn``) through a pluggable execution
-backend (:mod:`repro.core.backends`): serially, across a process pool,
-or vectorised across trials in one process (:mod:`repro.core.batch`).
-Trials are embarrassingly parallel, and every backend derives trial
-``i``'s generators from the same spawned child, so results are
-reproducible from the root seed and identical across backends.
+backend (:mod:`repro.core.backends`): serially, vectorised across
+trials in one process (:mod:`repro.core.batch`), or either of those
+across a process pool.  Trials are embarrassingly parallel, and every
+backend derives trial ``i``'s generators from the same spawned child,
+so results are reproducible from the root seed and identical across
+backends.
 
 For the process pool to work, the ``setup`` callable must be picklable:
 use a module-level function or a dataclass implementing ``__call__``
@@ -51,17 +52,17 @@ def run_trials(
         or ``workers``.
     workers:
         ``None``/``1`` = serial.  Otherwise a process pool of that many
-        workers (capped at ``os.cpu_count()`` for ``"process"``);
-        ``-1`` = all cores.  ``0`` and values below ``-1`` are
-        rejected.
+        workers; ``-1`` = all cores.  Either is capped at ``trials``;
+        an explicit count is not capped at ``os.cpu_count()``.  ``0``
+        and values below ``-1`` are rejected.
     backend:
         ``"serial"``, ``"process"``, ``"batched"``, ``"sharded"``, a
         :class:`~repro.core.backends.SimulationBackend` instance, or
         ``None`` to infer from ``workers`` (the historical behaviour).
 
     Precedence: an explicit ``backend`` decides the execution strategy;
-    ``workers`` then only parameterises the ``"process"`` pool or the
-    ``"sharded"`` shard count.  With ``backend=None`` a pool-requesting
+    ``workers`` then only sizes the pool of ``"process"`` (dense) or
+    ``"sharded"`` (batched).  With ``backend=None`` a pool-requesting
     ``workers`` selects the process backend.  Requesting a pool
     alongside a backend that cannot use one (``"serial"``,
     ``"batched"``, or any pre-built backend instance, which carries its

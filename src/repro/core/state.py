@@ -115,8 +115,7 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
             raise ValueError("threshold must be a scalar or a vector")
         if t.ndim == 1 and t.shape != (self.n,):
             raise ValueError(f"vector threshold must have shape ({self.n},)")
-        if np.any(t <= 0):
-            raise ValueError("thresholds must be positive")
+        validate_weights(t, what="threshold")
         if m and not feasible_threshold(
             self.threshold,
             float(self.weights.sum()),
@@ -246,23 +245,6 @@ DynamicsSchedule` attached by dynamic trial setups.  ``None`` (the
         return np.asarray(
             effective_capacity(self.threshold_vector(), self.speeds, self.n)
         )
-
-    def capacity_at(self, resources: np.ndarray) -> np.ndarray:
-        """Effective capacities of an index array of resources.
-
-        Bit-identical to ``capacity_vector()[resources]`` but computed
-        as an O(len(resources)) gather (see
-        :func:`repro.core.thresholds.effective_capacity`), so bulk
-        admission gating never materialises the full vector.
-        """
-        idx = np.asarray(resources, dtype=np.int64)
-        cap = effective_capacity(
-            self.threshold, self.speeds, self.n, resources=idx
-        )
-        arr = np.asarray(cap, dtype=np.float64)
-        if arr.ndim == 0:
-            return np.full(idx.shape, float(arr))
-        return arr
 
     def normalized_loads(self) -> np.ndarray:
         """Normalised load vector ``x_r / s_r`` (the makespan metric)."""

@@ -111,7 +111,6 @@ def effective_capacity(
     threshold: float | np.ndarray,
     speeds: np.ndarray | None,
     n: int,
-    resources: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Raw-load bound per resource: ``c_r = s_r * T_r``.
 
@@ -120,30 +119,7 @@ def effective_capacity(
     returned unchanged — scalar stays scalar, and the uniform path pays
     nothing.  With speeds, the result is always a vector of shape
     ``(n,)``.
-
-    ``resources`` narrows the computation to an integer index array:
-    the result is the capacity of just those resources, shaped like
-    ``resources`` (scalar thresholds without speeds stay scalar — they
-    broadcast).  The gather happens *before* the multiply, so the cost
-    is O(len(resources)) regardless of ``n`` — the form the router's
-    bulk-admission kernel uses per probe wave — and the values are
-    bit-identical to indexing the full vector (the elementwise products
-    are the same IEEE operations either way).
     """
-    if resources is not None:
-        idx = np.asarray(resources, dtype=np.int64)
-        t = np.asarray(threshold, dtype=np.float64)
-        if t.ndim == 0:
-            if speeds is None:
-                return threshold
-            # same definition site as below, gathered first
-            return speeds[idx] * float(t)  # lint: allow-capacity
-        if t.shape != (n,):
-            raise ValueError(f"vector threshold must have shape ({n},)")
-        if speeds is None:
-            return t[idx]
-        # gathered copy of the definition-site product below
-        return speeds[idx] * t[idx]  # lint: allow-capacity
     if speeds is None:
         return threshold
     t = np.asarray(threshold, dtype=np.float64)
@@ -264,8 +240,7 @@ class FixedThreshold(ThresholdPolicy):
     value: float
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("threshold must be positive")
+        validate_weight(self.value, what="threshold")
 
     def compute(self, total_weight: float, n: int, wmax: float) -> float:
         return self.value

@@ -3,7 +3,7 @@
 PR 3 (silent batched->dense fallback) and PR 5 (process-wide warning
 latch) both fixed fallback paths that degraded quietly; the repo's
 convention since then is a *named* ``*Warning`` subclass per
-degradation (``BatchFallbackWarning``, ``ShardedDegradationWarning``)
+degradation (``BatchFallbackWarning``, ``PoolDegradationWarning``)
 so callers can filter, latch and test them precisely.
 """
 

@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, cast
 
 import numpy as np
 
+from ..core.backends import build_trial
 from ..core.protocols.base import Protocol, StepStats
 from ..core.protocols.hybrid import HybridProtocol
 from ..core.protocols.resource_controlled import ResourceControlledProtocol
@@ -384,19 +385,11 @@ class Router:
         self._mode, self._user_walk, self._res_walk = _admission_plan(protocol)
         self._alternate = 0
 
-        # Live O(n) view: decisions only touch these two vectors.
+        # Live O(n) view: decisions only touch the loads and the
+        # capacities, which refresh_capacity derives from the state.
         self._loads = state.loads()
-        self._cap = np.asarray(
-            state.capacity_vector(), dtype=np.float64
-        ).reshape(-1)
-        if self._cap.shape != (state.n,):
-            self._cap = np.full(state.n, float(self._cap))
-        # admission bound with tolerance folded in, cached so the
-        # per-round balance check is a single comparison
-        self._bound = self._cap + state.atol
-        # both as Python lists for choose_many's resolver; rebuilt
-        # lazily after refresh_capacity
         self._cap_lists: tuple[list[float], list[float]] | None = None
+        self.refresh_capacity()
 
         # Stable external ids, aligned with the state's task order.
         self._ids = np.arange(state.m, dtype=np.int64)
@@ -457,20 +450,18 @@ class Router:
         """Build a router from a trial setup, on the trial seed
         contract.
 
-        Derives the setup and decision generators exactly like
-        :func:`~repro.core.backends.run_single_trial`
-        (``seed_seq.spawn(2)``), so a router built from trial ``i``'s
-        ``SeedSequence`` child sees the same workload — and replays the
-        same rounds — as the engine's trial ``i``.
+        Derives the setup and decision generators through
+        :func:`~repro.core.backends.build_trial`, as every engine does,
+        so a router built from trial ``i``'s ``SeedSequence`` child sees
+        the same workload — and replays the same rounds — as the
+        engine's trial ``i``.
         """
         seq = (
             seed
             if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed)
         )
-        setup_seed, sim_seed = seq.spawn(2)
-        protocol, state = setup(np.random.default_rng(setup_seed))
-        return cls(protocol, state, np.random.default_rng(sim_seed), **kwargs)
+        return cls(*build_trial(setup, seq), **kwargs)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -852,7 +843,12 @@ class Router:
         return self._bound.copy()
 
     def refresh_capacity(self) -> None:
-        """Re-derive the per-resource admission bound from the state."""
+        """Re-derive the per-resource admission bound from the state.
+
+        The bound has the tolerance folded in, so the per-round balance
+        check is one comparison; the Python-list copies that
+        ``choose_many``'s resolver reads are rebuilt lazily.
+        """
         cap = np.asarray(
             self.state.capacity_vector(), dtype=np.float64
         ).reshape(-1)

@@ -83,7 +83,7 @@ def replay_setup(
 ) -> ReplayReport:
     """Build a router from a trial setup and replay its schedule.
 
-    Seed handling matches :func:`~repro.core.backends.run_single_trial`
+    Seed handling is :func:`~repro.core.backends.build_trial`'s
     (``seed_seq.spawn(2)`` → setup stream, protocol stream), so
     ``replay_setup(setup, seq)`` is directly comparable to the engine's
     trial on the same ``SeedSequence``.

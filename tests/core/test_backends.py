@@ -8,7 +8,7 @@ import pytest
 from repro import (
     BatchedBackend,
     DenseBackend,
-    ProcessBackend,
+    PoolBackend,
     run_trial_summary,
     run_trials,
 )
@@ -28,14 +28,21 @@ SETUP = UserControlledSetup(
 class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), DenseBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
+        process = get_backend("process")
+        assert isinstance(process, PoolBackend)
+        assert isinstance(process.inner, DenseBackend)
         assert isinstance(get_backend("batched"), BatchedBackend)
+        sharded = get_backend("sharded")
+        assert isinstance(sharded, PoolBackend)
+        assert isinstance(sharded.inner, BatchedBackend)
 
     def test_none_infers_from_workers(self):
         assert isinstance(get_backend(None), DenseBackend)
         assert isinstance(get_backend(None, workers=1), DenseBackend)
-        assert isinstance(get_backend(None, workers=2), ProcessBackend)
-        assert isinstance(get_backend(None, workers=-1), ProcessBackend)
+        for workers in (2, -1):
+            pool = get_backend(None, workers=workers)
+            assert isinstance(pool, PoolBackend)
+            assert isinstance(pool.inner, DenseBackend)
 
     def test_instance_passthrough(self):
         backend = BatchedBackend(max_batch=7)
@@ -49,7 +56,7 @@ class TestGetBackend:
         with pytest.raises(ValueError):
             BatchedBackend(max_batch=0)
         with pytest.raises(ValueError):
-            ProcessBackend(workers=0)
+            PoolBackend(DenseBackend(), workers=0)
 
 
 class TestRunnerBackendParam:

@@ -19,9 +19,8 @@ import pytest
 from repro import (
     BatchedBackend,
     DenseBackend,
-    ProcessBackend,
+    PoolBackend,
     Router,
-    ShardedBackend,
     SystemState,
     UserControlledProtocol,
     replay_setup,
@@ -84,6 +83,17 @@ VERBS = {
         seq=np.array([0, 1]),
         threshold=10.0,
     ),
+    # m = 0 skips the feasibility check, so only the threshold check
+    # stands between a NaN threshold and a router that overflows
+    # every decision
+    "SystemState(threshold)": lambda w: SystemState(
+        n=4,
+        weights=np.array([]),
+        resource=np.array([], dtype=np.int64),
+        seq=np.array([], dtype=np.int64),
+        threshold=w,
+    ),
+    "FixedThreshold": FixedThreshold,
     "add_tasks": lambda w: _state().add_tasks(np.array([w]), np.array([0])),
     "choose_resource": lambda w: _router().choose_resource(w),
     "choose_many": lambda w: _router().choose_many([1.0, w]),
@@ -143,13 +153,13 @@ SETUP = UserControlledSetup(
         lambda: DenseBackend().run_trials(
             SETUP, [np.random.SeedSequence(3)], max_rounds=-5
         ),
-        lambda: ProcessBackend(workers=2).run_trials(
+        lambda: PoolBackend(DenseBackend(), workers=2).run_trials(
             SETUP, [np.random.SeedSequence(3)], max_rounds=-5
         ),
         lambda: BatchedBackend().run_trials(
             SETUP, [np.random.SeedSequence(3)], max_rounds=-5
         ),
-        lambda: ShardedBackend(workers=2).run_trials(
+        lambda: PoolBackend(BatchedBackend(), workers=2).run_trials(
             SETUP, [np.random.SeedSequence(3)], max_rounds=-5
         ),
         lambda: replay_setup(SETUP, np.random.SeedSequence(3), max_rounds=-5),

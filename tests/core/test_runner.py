@@ -80,7 +80,7 @@ class TestWorkersBackendPrecedence:
             run_trials(SETUP, trials=2, seed=0, workers=-1, backend="batched")
 
     def test_workers_with_backend_instance_raises(self):
-        from repro import BatchedBackend, ProcessBackend
+        from repro import BatchedBackend, DenseBackend, PoolBackend
 
         with pytest.raises(ValueError, match="instance"):
             run_trials(
@@ -90,7 +90,7 @@ class TestWorkersBackendPrecedence:
         with pytest.raises(ValueError, match="instance"):
             run_trials(
                 SETUP, trials=2, seed=0, workers=2,
-                backend=ProcessBackend(workers=2),
+                backend=PoolBackend(DenseBackend(), workers=2),
             )
 
     def test_workers_with_process_backend_name_ok(self):
@@ -109,7 +109,7 @@ class TestWorkersBackendPrecedence:
 
 class TestWorkersValidation:
     """workers <= 0 (except -1) is rejected uniformly at the boundary:
-    run_trials, get_backend and ProcessBackend all raise the same
+    run_trials, get_backend and PoolBackend all raise the same
     message instead of the historical mix of 'serial' / ValueError."""
 
     MATCH = "positive integer or -1"
@@ -134,21 +134,21 @@ class TestWorkersValidation:
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_process_backend_rejects(self, workers):
-        from repro import ProcessBackend
+        from repro import DenseBackend, PoolBackend
 
         with pytest.raises(ValueError, match=self.MATCH):
-            ProcessBackend(workers=workers)
+            PoolBackend(DenseBackend(), workers=workers)
 
     def test_summary_path_rejects(self):
         with pytest.raises(ValueError, match=self.MATCH):
             run_trial_summary(SETUP, trials=2, seed=0, workers=0)
 
     def test_all_cores_and_positive_still_accepted(self):
-        from repro import ProcessBackend
+        from repro import DenseBackend, PoolBackend
         from repro.core.backends import get_backend
 
-        assert ProcessBackend(workers=-1).workers == -1
-        assert ProcessBackend(workers=3).workers == 3
+        assert PoolBackend(DenseBackend(), workers=-1).workers == -1
+        assert PoolBackend(DenseBackend(), workers=3).workers == 3
         assert get_backend(None, workers=-1).name == "process"
         assert get_backend(None, workers=None).name == "serial"
 

@@ -1,15 +1,17 @@
-"""Differential tests: sharded backend == batched == serial, bit for bit.
+"""Differential tests: pool backends == their inner engine, bit for bit.
 
-The sharded backend splits the trial list into contiguous shards, runs
-the batched engine on each shard in a worker process, and ships the
-``final_loads`` planes home through shared memory.  Because batched
-results are independent of chunking and every backend derives trial
-``i``'s generators from the same spawned ``SeedSequence`` child, the
-merged output must equal the in-process batched output — and hence the
-serial reference — exactly, traces included.  These tests force real
-sharding (explicit ``workers=2``) so the pool + shared-memory path is
-exercised even on a single-core box, plus the ragged-shape pickling
-fallback and the single-shard degradation warning.
+Both pool names run one :class:`~repro.core.backends.PoolBackend`:
+``process`` over the dense engine, ``sharded`` over the batched one.
+The pool splits the trial list into contiguous shards, runs the inner
+engine on each shard in a worker process and concatenates the pickled
+results in trial order.  Because the engines' results are independent
+of how trials are grouped and every backend derives trial ``i``'s
+generators from the same spawned ``SeedSequence`` child, the merged
+output must equal the serial reference exactly, traces included.
+These tests force real pools (explicit ``workers=2`` or ``3``, which
+are honoured beyond the core count) so the shard boundary is exercised
+on any box, plus ragged result shapes and the one-worker degradation
+warning.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro import (
     BatchedBackend,
-    ShardedBackend,
-    ShardedDegradationWarning,
+    DenseBackend,
+    PoolBackend,
+    PoolDegradationWarning,
     run_trials,
 )
 from repro.experiments import ResourceControlledSetup, UserControlledSetup
@@ -37,6 +40,14 @@ from test_backend_equivalence import runs_equal, traces_equal
 
 pytestmark = pytest.mark.equivalence
 
+#: The inner engine behind each pool name.
+INNER = {"process": DenseBackend, "sharded": BatchedBackend}
+POOLS = pytest.mark.parametrize("pool", sorted(INNER))
+
+
+def _pool(pool: str, workers: int) -> PoolBackend:
+    return PoolBackend(INNER[pool](), workers=workers)
+
 
 def _user_setup(n: int = 6, m: int = 40) -> UserControlledSetup:
     return UserControlledSetup(
@@ -44,42 +55,42 @@ def _user_setup(n: int = 6, m: int = 40) -> UserControlledSetup:
     )
 
 
+@POOLS
 @given(
     st.integers(min_value=2, max_value=7),
     st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=10, deadline=None)
-def test_sharded_matches_serial_and_batched(trials, seed):
+def test_pool_matches_serial_and_batched(pool, trials, seed):
     setup = _user_setup()
     serial = run_trials(setup, trials, seed=seed, record_traces=True)
     batched = run_trials(
         setup, trials, seed=seed, record_traces=True, backend="batched"
     )
-    sharded = run_trials(
+    pooled = run_trials(
         setup,
         trials,
         seed=seed,
         record_traces=True,
-        backend=ShardedBackend(workers=2),
+        backend=_pool(pool, 2),
     )
-    assert runs_equal(serial, sharded)
-    assert runs_equal(batched, sharded)
-    assert traces_equal(serial, sharded)
+    assert runs_equal(serial, pooled)
+    assert runs_equal(batched, pooled)
+    assert traces_equal(serial, pooled)
 
 
-def test_sharded_registry_name_routes_workers():
-    """backend='sharded' with workers=2 is the explicit-shard path."""
+@POOLS
+def test_registry_name_routes_workers(pool):
+    """The registry name with workers=2 is the explicit two-shard pool."""
     setup = _user_setup()
-    by_name = run_trials(
-        setup, 4, seed=77, backend="sharded", workers=2
-    )
-    direct = run_trials(
-        setup, 4, seed=77, backend=ShardedBackend(workers=2)
-    )
+    by_name = run_trials(setup, 4, seed=77, backend=pool, workers=2)
+    direct = run_trials(setup, 4, seed=77, backend=_pool(pool, 2))
+    assert _pool(pool, 2).name == pool
     assert runs_equal(by_name, direct)
 
 
-def test_sharded_matches_on_resource_protocol_with_speeds():
+@POOLS
+def test_pool_matches_on_resource_protocol_with_speeds(pool):
     setup = ResourceControlledSetup(
         graph=torus_graph(4, 5),
         m=80,
@@ -87,13 +98,12 @@ def test_sharded_matches_on_resource_protocol_with_speeds():
         speeds=TwoClassSpeeds(slow=1.0, fast=4.0, fast_count=5),
     )
     serial = run_trials(setup, 5, seed=13)
-    sharded = run_trials(
-        setup, 5, seed=13, backend=ShardedBackend(workers=2)
-    )
-    assert runs_equal(serial, sharded)
+    pooled = run_trials(setup, 5, seed=13, backend=_pool(pool, 2))
+    assert runs_equal(serial, pooled)
 
 
-def test_sharded_matches_on_dynamics():
+@POOLS
+def test_pool_matches_on_dynamics(pool):
     """Dynamic (online) trials survive the shard boundary bit-for-bit."""
     setup = UserControlledSetup(
         n=8,
@@ -104,58 +114,49 @@ def test_sharded_matches_on_dynamics():
         ),
     )
     serial = run_trials(setup, 6, seed=21)
-    sharded = run_trials(
-        setup, 6, seed=21, backend=ShardedBackend(workers=3)
-    )
-    assert runs_equal(serial, sharded)
+    pooled = run_trials(setup, 6, seed=21, backend=_pool(pool, 3))
+    assert runs_equal(serial, pooled)
 
 
 class _VariableNSetup:
     """Trials whose resource count depends on the trial stream, so
-    ``final_loads`` shapes are ragged within a shard and the worker
-    must fall back to inline pickling (no shared-memory plane)."""
+    ``final_loads`` shapes are ragged within a shard."""
 
     def __call__(self, rng):
         n = 4 + int(rng.integers(0, 3))
         return _user_setup(n=n, m=24)(rng)
 
 
-def test_ragged_shards_fall_back_to_inline_results():
+@POOLS
+def test_ragged_shards_come_back_whole(pool):
     setup = _VariableNSetup()
     serial = run_trials(setup, 6, seed=5)
     assert len({r.final_loads.shape for r in serial}) > 1  # truly ragged
-    sharded = run_trials(
-        setup, 6, seed=5, backend=ShardedBackend(workers=2)
-    )
-    assert runs_equal(serial, sharded)
+    pooled = run_trials(setup, 6, seed=5, backend=_pool(pool, 2))
+    assert runs_equal(serial, pooled)
 
 
-def test_single_shard_degrades_with_warning():
-    """One trial cannot shard: the backend warns once and delegates to
-    the in-process batched engine with identical results."""
+@POOLS
+def test_single_trial_degrades_with_warning(pool):
+    """One trial cannot be split: the pool warns once and runs its
+    inner engine in-process with identical results."""
     setup = _user_setup()
-    with pytest.warns(ShardedDegradationWarning):
-        degraded = run_trials(
-            setup, 1, seed=3, backend=ShardedBackend(workers=4)
-        )
-    batched = run_trials(setup, 1, seed=3, backend="batched")
-    assert runs_equal(batched, degraded)
+    with pytest.warns(PoolDegradationWarning):
+        degraded = run_trials(setup, 1, seed=3, backend=_pool(pool, 4))
+    inner = run_trials(setup, 1, seed=3, backend=INNER[pool]())
+    assert runs_equal(inner, degraded)
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        ShardedBackend(workers=None)
-    with pytest.raises(ValueError):
-        ShardedBackend(workers=0)
-    with pytest.raises(ValueError):
-        ShardedBackend(workers=-2)
-    with pytest.raises(ValueError):
-        ShardedBackend(workers=2, max_batch=0)
+@POOLS
+def test_constructor_validation(pool):
+    for workers in (None, 0, -2):
+        with pytest.raises(ValueError):
+            _pool(pool, workers)
 
 
 def test_workers_flag_conflicts_rejected():
-    """workers alongside a non-pool backend still raises (the sharded
-    name, like 'process', accepts it)."""
+    """workers alongside a non-pool backend still raises (the pool
+    names, 'process' and 'sharded', accept it)."""
     setup = _user_setup()
     with pytest.raises(ValueError):
         run_trials(setup, 2, seed=0, backend="batched", workers=2)
