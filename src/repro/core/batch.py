@@ -41,21 +41,29 @@ calls), so ``rounds``, ``final_loads`` and migration totals are
 reproduced exactly — property-tested in
 ``tests/properties/test_backend_equivalence.py``.
 
-**Overload-gated rounds.**  Only tasks on overloaded resources ever
-move: Algorithm 5.1 ejects cutting/above tasks only where ``x_r > c_r``,
-and Algorithm 6.1's migration probability is zero everywhere else.  So
-both kernels first compute the round's load matrix and overload mask;
-when no row has an overloaded resource they return before reading the
-stack order (:meth:`BatchState.sorted_heights`), with each row's idle
-statistics: no movers, zero moved weight, zero potential, the loads
-carried over, nothing drawn.  Otherwise they partition the overloaded
-resources' stack segments only (:func:`_overloaded_segments`, shared by
-both kernels).  The gate is exact, because the full partition of a
-resource that is not overloaded yields no mover, no draw and
-``phi_r = 0``; ``tests/properties/test_idle_round_equivalence.py`` pins
-the gated round to the full path bit for bit, and the dense protocols'
-``step`` applies the same gate through
-:meth:`~repro.core.state.SystemState.load_profile`.
+**One round skeleton.**  The user and resource kernels differ only in
+how they pick movers; everything else is one function
+(:func:`_kernel_round`).  Only tasks on overloaded resources ever move:
+Algorithm 5.1 ejects cutting/above tasks only where ``x_r > c_r``, and
+Algorithm 6.1's migration probability is zero everywhere else.  So a
+round first computes its load matrix and overload mask; when no row has
+an overloaded resource it returns before reading the stack order
+(:meth:`BatchState.sorted_heights`), with each row's idle statistics:
+no movers, zero moved weight, zero potential, the loads carried over,
+nothing drawn.  Otherwise it partitions the overloaded resources'
+stack segments only (:func:`_overloaded_segments`), lets the protocol
+pick its movers there, and draws each row's destinations and arrival
+permutation from that row's generator.  The gate is exact, because the
+full partition of a resource that is not overloaded yields no mover, no
+draw and ``phi_r = 0``; ``tests/properties/test_idle_round_equivalence.py``
+pins the gated round to the full path bit for bit, and the dense
+protocols' ``step`` applies the same gate through
+:meth:`~repro.core.state.SystemState.load_profile`.  The same gate runs
+a round on a subset of the rows: a row outside the subset sees no
+overload, so it draws nothing and keeps its placement.  That is how a
+probabilistic hybrid round whose coins split the rows steps its
+resource rows and its user rows in place, one kernel after the other
+(:func:`hybrid_step_batch`).
 
 Resource speeds (the heterogeneous extension, see
 :mod:`repro.core.thresholds`) are per-trial *state*, not protocol
@@ -104,24 +112,24 @@ Two hot-loop economies keep the engine fast at the scale frontier
   build the dynamic buffers.
 
 Protocols opt into vectorisation by overriding
-:meth:`~repro.core.protocols.base.Protocol.step_batch` to accept a
+:meth:`~repro.core.protocols.base.Protocol.step_batch`, which takes a
 :class:`BatchState` (``UserControlledProtocol``,
 ``ResourceControlledProtocol`` and ``HybridProtocol`` all do — the
 hybrid draws each trial's round-type coin from that trial's own
-generator and routes the rows through the component kernels, see
-:func:`hybrid_step_batch`).  Everything else — third-party subclasses,
-mixed-signature chunks, ragged shapes, chunks mixing dynamic and
-one-shot trials — falls back to the base implementation, which loops
-over ``step()`` per trial; the first fallback of each kind (per
-``run_trials`` call) emits a :class:`BatchFallbackWarning` naming the
-reason, so losing the vectorised path is visible instead of a silent
-perf cliff.
+generator before any kernel draws, see :func:`hybrid_step_batch`).
+Everything else — third-party subclasses, mixed-signature chunks,
+ragged shapes, chunks mixing dynamic and one-shot trials — runs each
+trial through the dense :func:`~repro.core.simulator.simulate`; the
+first fallback of each kind (per ``run_trials`` call) emits a
+:class:`BatchFallbackWarning` naming the reason, so losing the
+vectorised path is visible instead of a silent perf cliff.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -430,18 +438,21 @@ class BatchState:
             minlength=self.A * self.stride,
         ).reshape(self.A, self.stride)
 
-    def sorted_heights(self, L: int) -> np.ndarray:
+    def sorted_heights(self, L: int, rows: np.ndarray) -> np.ndarray:
         """Row-wise running sums of the weights in stack order over the
-        first ``L`` stack positions of every row — the running sums the
-        dense partition derives per trial, whose first ``L`` entries do
-        not depend on anything after them.  Returns the round-persistent
-        ``(A, m)`` buffer with only its first ``L`` columns written
-        (valid until the next call)."""
+        first ``L`` stack positions of the given ``rows`` (ascending) —
+        the running sums the dense partition derives per trial, whose
+        first ``L`` entries do not depend on anything after them.
+        Returns the round-persistent ``(A, m)`` buffer with only those
+        rows' first ``L`` columns written (valid until the next
+        call)."""
         cum = self._scratch_cum[: self.A]
-        w_s = np.take(
-            self.w_task.ravel(), self.order.reshape(self.A, self.m)[:, :L]
-        )
-        np.cumsum(w_s, axis=1, out=cum[:, :L])
+        order = self.order.reshape(self.A, self.m)
+        w = self.w_task.ravel()
+        if rows.shape[0] == self.A:
+            np.cumsum(np.take(w, order[:, :L]), axis=1, out=cum[:, :L])
+        else:
+            cum[rows, :L] = np.cumsum(np.take(w, order[rows, :L]), axis=1)
         return cum
 
     def indptr(self) -> np.ndarray:
@@ -613,54 +624,6 @@ class BatchState:
         return changed
 
     # ------------------------------------------------------------------
-    def _rebase_rows_onto(
-        self, target: "BatchState", rows: np.ndarray
-    ) -> None:
-        """Copy the per-trial fields of ``rows`` onto ``target``, re-based
-        onto row numbers ``0..k-1`` (keys and order slots embed the trial
-        index).  Shared by :meth:`compact` (``target`` is ``self``) and
-        :meth:`extract` (``target`` is a fresh sub-batch) so every
-        per-trial field is re-based in exactly one place.
-        """
-        shift = rows - np.arange(rows.shape[0], dtype=np.int64)
-        target.stride = self.stride
-        target.dynamic = self.dynamic
-        target.idx = self.idx
-        target.w_task = np.ascontiguousarray(self.w_task[rows])
-        # the re-basing arithmetic promotes to int64; cast back to the
-        # chunk's index dtype (values only ever shrink)
-        target.key_task = (
-            self.key_task[rows] - (shift * self.stride)[:, None]
-        ).astype(self.idx, copy=False)
-        target.counts = np.ascontiguousarray(self.counts[rows])
-        target.order = (
-            (
-                self.order.reshape(self.A, self.m)[rows]
-                - (shift * self.m)[:, None]
-            )
-            .astype(self.idx, copy=False)
-            .ravel()
-        )
-        if self.dynamic:
-            target.live_mask = np.ascontiguousarray(self.live_mask[rows])
-            target.m_live = self.m_live[rows]
-        else:
-            target.live_mask = None
-            target.m_live = None
-        target.t_res = np.ascontiguousarray(self.t_res[rows])
-        if self.speeds is None:
-            target.speeds = None
-            target.cap = target.t_res
-        else:
-            target.speeds = np.ascontiguousarray(self.speeds[rows])
-            target.cap = np.ascontiguousarray(self.cap[rows])
-        target.speeds_rows = [self.speeds_rows[r] for r in rows]
-        target.atol = self.atol[rows]
-        target.bound = np.ascontiguousarray(self.bound[rows])
-        target.wmax = self.wmax[rows]
-        target.thresholds = [self.thresholds[r] for r in rows]
-        target.A = rows.shape[0]  # last: self.A is read above
-
     def compact(self, keep: np.ndarray) -> None:
         """Drop finished trials (rows where ``keep`` is False).
 
@@ -670,66 +633,42 @@ class BatchState:
         rows = np.flatnonzero(keep)
         if rows.shape[0] == self.A:
             return
-        self._rebase_rows_onto(self, rows)
-        size = self.A * self.m
-        self._scratch_u = self._scratch_u[: self.A]
-        self._scratch_indptr = np.ascontiguousarray(
-            self._scratch_indptr[: self.A]
+        A, k = self.A, rows.shape[0]
+        shift = rows - np.arange(k, dtype=np.int64)
+        self.w_task = self.w_task[rows]
+        # the re-basing arithmetic promotes to int64; cast back to the
+        # chunk's index dtype (values only ever shrink)
+        self.key_task = (
+            self.key_task[rows] - (shift * self.stride)[:, None]
+        ).astype(self.idx, copy=False)
+        self.counts = self.counts[rows]
+        self.order = (
+            (self.order.reshape(A, self.m)[rows] - (shift * self.m)[:, None])
+            .astype(self.idx, copy=False)
+            .ravel()
         )
-        self._scratch_cum = self._scratch_cum[: self.A]
+        if self.dynamic:
+            self.live_mask = self.live_mask[rows]
+            self.m_live = self.m_live[rows]
+        self.t_res = self.t_res[rows]
+        if self.speeds is None:
+            self.cap = self.t_res
+        else:
+            self.speeds = self.speeds[rows]
+            self.cap = self.cap[rows]
+        self.speeds_rows = [self.speeds_rows[r] for r in rows]
+        self.atol = self.atol[rows]
+        self.bound = self.bound[rows]
+        self.wmax = self.wmax[rows]
+        self.thresholds = [self.thresholds[r] for r in rows]
+        self.A = k
+        size = k * self.m
+        self._scratch_u = self._scratch_u[:k]
+        self._scratch_indptr = self._scratch_indptr[:k]
+        self._scratch_cum = self._scratch_cum[:k]
         self._order_buf = self._order_buf[:size]
         if self.dynamic:
             self._scratch_inv = self._scratch_inv[:size]
-
-    # ------------------------------------------------------------------
-    def extract(self, rows: np.ndarray) -> "BatchState":
-        """Sub-batch of the given rows, re-based onto rows ``0..k-1``.
-
-        Trials are independent — keys, order slots and every per-trial
-        reduction only ever combine elements of one trial — so a kernel
-        stepped on the extracted sub-batch produces bit-identical
-        per-trial results to the same kernel on the full batch.  Used by
-        the hybrid kernel to run different component kernels on disjoint
-        row subsets within one round; write mutated placement state back
-        with :meth:`scatter`.
-
-        The sub-batch *borrows* the parent's scratch buffers (prefix
-        views, written before they are read), so step one extracted
-        sub-batch at a time and do not interleave it with stepping the
-        parent.
-        """
-        sub = BatchState.__new__(BatchState)
-        sub.n, sub.m = self.n, self.m
-        sub.m0 = self.m0
-        self._rebase_rows_onto(sub, rows)
-        sub.record_stats = self.record_stats
-        k = sub.A
-        size = k * self.m
-        sub._scratch_u = self._scratch_u[:k]
-        sub._scratch_indptr = self._scratch_indptr[:k]
-        sub._scratch_cum = self._scratch_cum[:k]
-        sub._order_buf = self._order_buf[:size]
-        sub._scratch_inv = (
-            self._scratch_inv[:size] if self.dynamic else None
-        )
-        sub._scratch_arange = (
-            self._scratch_arange[:size] if self.dynamic else None
-        )
-        return sub
-
-    def scatter(self, sub: "BatchState", rows: np.ndarray) -> None:
-        """Write a stepped :meth:`extract` sub-batch back into ``rows``.
-
-        Only the mutable placement state (task keys, counts, stack
-        order) flows back; weights, thresholds and bounds never change
-        during a round.
-        """
-        shift = rows - np.arange(rows.shape[0], dtype=np.int64)
-        self.key_task[rows] = sub.key_task + (shift * self.stride)[:, None]
-        self.counts[rows] = sub.counts
-        self.order.reshape(self.A, self.m)[rows] = sub.order.reshape(
-            sub.A, self.m
-        ) + (shift * self.m)[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -752,11 +691,15 @@ class BatchedBackend(SimulationBackend):
     :meth:`~repro.core.protocols.base.Protocol.batch_signature`, plus
     identical ``(n, m)``.  Anything else (third-party protocols,
     mixed-configuration chunks, ragged sweeps) transparently degrades
-    to the base-class ``step_batch``, which loops the dense ``step()``
-    per trial — same results, no cross-trial vectorisation — and emits
-    a :class:`BatchFallbackWarning` naming the reason, once per reason
+    to running each trial through the dense ``simulate`` — same
+    results, no cross-trial vectorisation — and emits a
+    :class:`BatchFallbackWarning` naming the reason, once per reason
     per ``run_trials`` call (so a fallback in one study never silences
-    the warning for a later study in the same process).
+    the warning for a later study in the same process).  Every shipped
+    protocol, the hybrid included, steps the whole chunk in place each
+    round: a hybrid round whose coins split the rows runs the resource
+    kernel and then the user kernel, each on its own rows under a row
+    mask, with no sub-batch.
     """
 
     name = "batched"
@@ -1114,6 +1057,7 @@ class BatchedBackend(SimulationBackend):
 class _Segments:
     """The stack segments of every overloaded resource in a batch.
 
+    ``rows`` lists the rows with an overloaded resource, ascending;
     ``ov_t`` / ``ov_r`` list the overloaded (trial row, resource) pairs
     in row-major order and ``seg_len`` their task counts; ``pos`` holds
     the stack-order positions of those tasks, ascending (grouped by
@@ -1122,6 +1066,7 @@ class _Segments:
     ``below``; ``phi`` is each segment's potential ``phi_r``.
     """
 
+    rows: np.ndarray
     ov_t: np.ndarray
     ov_r: np.ndarray
     seg_len: np.ndarray
@@ -1140,15 +1085,18 @@ def _overloaded_segments(
     Heights are computed exactly as the dense partition computes them
     (running row sum minus the weight below the segment), over the
     stack positions up to the end of the last overloaded stack in any
-    row, and ``below_weight`` accumulates each segment in stack order
-    like the dense ``bincount``, so ``phi`` matches it bit for bit.
+    row (in the rows that have one), and ``below_weight`` accumulates
+    each segment in stack order like the dense ``bincount``, so ``phi``
+    matches it bit for bit.
     """
     m = batch.m
+    rows = np.flatnonzero(overloaded.any(axis=1))
     ov_t, ov_r = np.nonzero(overloaded)
     n_seg = ov_t.shape[0]
     seg_len = batch.counts[ov_t, ov_r]
     seg_start = batch.indptr()[ov_t, ov_r]
-    cum = batch.sorted_heights(int((seg_start + seg_len).max())).ravel()
+    L = int((seg_start + seg_len).max())
+    cum = batch.sorted_heights(L, rows).ravel()
     start_abs = ov_t * m + seg_start
 
     # one arange over every candidate task, shifted per segment
@@ -1165,233 +1113,195 @@ def _overloaded_segments(
         seg_id[below], weights=w_sub[below], minlength=n_seg
     )
     phi = np.maximum(loads[ov_t, ov_r] - below_weight, 0.0)
-    return _Segments(ov_t, ov_r, seg_len, pos, sub_abs, w_sub, below, phi)
-
-
-def _stats_before(
-    batch: BatchState,
-    loads: np.ndarray,
-    overloaded: np.ndarray,
-    seg: _Segments | None,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """``(overloaded_before, potential_before, max_load_before)`` for
-    traces, or three ``None`` when the batch records no stats."""
-    if not batch.record_stats:
-        return None, None, None
-    # Rebuild the dense per-resource phi row so the potential reduces in
-    # the same order (zeros included, n addends) as the dense
-    # ``phi.sum()``.
-    phi = np.zeros((batch.A, batch.n))
-    if seg is not None:
-        phi[seg.ov_t, seg.ov_r] = seg.phi
-    return overloaded.sum(axis=1), phi.sum(axis=1), loads.max(axis=1)
-
-
-def _idle_round(
-    batch: BatchState, loads: np.ndarray, overloaded: np.ndarray
-) -> BatchStepStats:
-    """Per row, the dense :meth:`StepStats.idle`: no row has an
-    overloaded resource, so nothing moves and nothing is drawn."""
-    A = batch.A
-    ov_before, pot_before, max_before = _stats_before(
-        batch, loads, overloaded, None
+    return _Segments(
+        rows, ov_t, ov_r, seg_len, pos, sub_abs, w_sub, below, phi
     )
-    return BatchStepStats(
+
+
+def _user_movers(
+    proto: UserControlledProtocol,
+    batch: BatchState,
+    rngs: list[np.random.Generator],
+    seg: _Segments,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 6.1's movers: each task of an overloaded resource
+    leaves with probability ``alpha * ceil(phi_r / wmax) / b_r``.
+
+    Every row with an overloaded resource draws its per-task uniforms
+    in the dense order (the dense step returns before sampling when it
+    finds none).  Dynamic batches draw exactly the live-task count —
+    the dense step draws ``rng.random(m_live)`` — onto the live slots
+    in ascending order, which is exactly the dense task order.  Movers
+    come back in ascending slot order per row, the dense
+    ``flatnonzero`` order.
+    """
+    wmax = (
+        np.full(batch.A, proto.wmax_estimate)
+        if proto.wmax_estimate is not None
+        else batch.wmax
+    )
+    # per-resource migration probability, on overloaded segments only
+    # (it is zero everywhere else)
+    lots = _ceil_lots(seg.phi, wmax[seg.ov_t])
+    p_seg = np.clip(
+        proto.alpha * lots / np.maximum(seg.seg_len, 1), 0.0, 1.0
+    )
+    u = batch._scratch_u
+    for row in seg.rows.tolist():
+        if batch.dynamic:
+            live_idx = np.flatnonzero(batch.live_mask[row])
+            u[row, live_idx] = rngs[row].random(live_idx.shape[0])
+        else:
+            rngs[row].random(out=u[row])
+    mover_mask = u.ravel()[seg.sub_abs] < p_seg.repeat(seg.seg_len)
+    cand_abs = seg.sub_abs[mover_mask]
+    mov_sorter = np.argsort(cand_abs)
+    mov_abs = cand_abs[mov_sorter]
+    return (
+        mov_abs,
+        seg.pos[mover_mask][mov_sorter],
+        batch.w_task.ravel()[mov_abs],
+    )
+
+
+def _resource_movers(
+    proto: ResourceControlledProtocol,
+    batch: BatchState,
+    rngs: list[np.random.Generator],
+    seg: _Segments,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 5.1's movers: every cutting/above task of every
+    overloaded resource, in stack order (the dense step's order)."""
+    active = ~seg.below
+    return seg.sub_abs[active], seg.pos[active], seg.w_sub[active]
+
+
+def _kernel_round(
+    proto: UserControlledProtocol | ResourceControlledProtocol,
+    batch: BatchState,
+    rngs: list[np.random.Generator],
+    rows: np.ndarray | None,
+    select: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> BatchStepStats:
+    """The skeleton of every vectorised round; ``select`` picks the
+    movers.
+
+    The prologue computes the loads and the overload mask; when no row
+    has an overloaded resource the round ends before the stack order is
+    read, with each row's idle statistics (the dense
+    :meth:`StepStats.idle`).  Otherwise the overloaded resources'
+    segments are partitioned and ``select(proto, batch, rngs, seg)``
+    returns the movers' absolute slots, stack positions and weights,
+    grouped by row in the order the dense step moves them.  The tail
+    draws, per row and from that row's generator, the destinations
+    (uniform, or one walk step) and then the arrival permutation, and
+    merges the moves into the stack order.
+
+    ``rows`` (boolean, one per batch row) restricts the round to a
+    subset: the other rows see no overload, so they draw nothing and
+    keep their placement, and their statistics are the idle ones.
+    """
+    A, n, m = batch.A, batch.n, batch.m
+    loads = batch.fresh_loads()
+    overloaded = loads > batch.bound
+    if rows is not None:
+        overloaded &= rows[:, None]
+    seg = (
+        _overloaded_segments(batch, loads, overloaded)
+        if overloaded.any()
+        else None
+    )
+    stats = BatchStepStats(
         movers=np.zeros(A, dtype=np.int64),
         moved_weight=np.zeros(A),
-        overloaded_before=ov_before,
-        potential_before=pot_before,
-        max_load_before=max_before,
+        overloaded_before=None,
+        potential_before=None,
+        max_load_before=None,
         loads_after=loads,
     )
+    if batch.record_stats:
+        # Rebuild the dense per-resource phi row so the potential
+        # reduces in the same order (zeros included, n addends) as the
+        # dense ``phi.sum()``.
+        phi = np.zeros((A, n))
+        if seg is not None:
+            phi[seg.ov_t, seg.ov_r] = seg.phi
+        stats.overloaded_before = overloaded.sum(axis=1)
+        stats.potential_before = phi.sum(axis=1)
+        stats.max_load_before = loads.max(axis=1)
+    if seg is None:
+        return stats
+    mov_abs, mov_pos, w_mov = select(proto, batch, rngs, seg)
+    if mov_abs.shape[0] == 0:
+        return stats
+
+    mov_trial = mov_abs // m
+    stats.movers = k = np.bincount(mov_trial, minlength=A)
+    moved_weight = stats.moved_weight
+    dest = np.empty(mov_abs.shape[0], dtype=np.int64)
+    arrival = np.empty(mov_abs.shape[0], dtype=np.int64)
+    # Python ints: NumPy-integer sizes and slice bounds slow every draw
+    # and slice below
+    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
+    walk = proto.walk
+    src = (
+        batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
+        if walk is not None
+        else None
+    )
+    fifo = proto.arrival_order != "random"
+    for row in np.flatnonzero(k).tolist():
+        lo, hi = bounds[row], bounds[row + 1]
+        rng = rngs[row]
+        if walk is None:
+            dest[lo:hi] = rng.integers(0, n, size=hi - lo)
+        else:
+            dest[lo:hi] = walk.step(src[lo:hi], rng)
+        moved_weight[row] = float(w_mov[lo:hi].sum())
+        if fifo:
+            arrival[lo:hi] = np.arange(hi - lo)
+        else:
+            arrival[lo:hi] = rng.permutation(hi - lo)
+    stats.loads_after = batch.apply_moves(
+        mov_abs, mov_pos, dest, arrival, loads
+    )
+    return stats
 
 
 def user_step_batch(
     proto: UserControlledProtocol,
     batch: BatchState,
     rngs: list[np.random.Generator],
+    rows: np.ndarray | None = None,
 ) -> BatchStepStats:
-    """One vectorised user-controlled round for every trial in ``batch``.
+    """One vectorised user-controlled round for every trial in ``batch``
+    (or for the ``rows`` subset, see :func:`_kernel_round`).
 
-    Mirrors ``UserControlledProtocol.step`` per trial: only tasks on
-    overloaded resources can move, so the stack partition is evaluated
-    on those resources' segments alone, and a round in which no row has
-    an overloaded resource returns before the stack order is even read;
-    the per-task uniforms, the destination draw and the arrival
-    permutation come from each trial's own generator in the dense order.
+    Mirrors ``UserControlledProtocol.step`` per trial: the migration
+    probability is evaluated on the overloaded resources' segments
+    alone, and the per-task uniforms, the destination draw and the
+    arrival permutation come from each trial's own generator in the
+    dense order.
     """
-    A, n, m = batch.A, batch.n, batch.m
-    loads = batch.fresh_loads()
-    overloaded = loads > batch.bound
-    if not overloaded.any():
-        return _idle_round(batch, loads, overloaded)
-    seg = _overloaded_segments(batch, loads, overloaded)
-    overloaded_before, potential_before, max_load_before = _stats_before(
-        batch, loads, overloaded, seg
-    )
-
-    # Per-resource migration probability, on overloaded segments only
-    # (it is zero everywhere else).
-    wmax = (
-        np.full(A, proto.wmax_estimate)
-        if proto.wmax_estimate is not None
-        else batch.wmax
-    )
-    lots = _ceil_lots(seg.phi, wmax[seg.ov_t])
-    p_seg = np.clip(
-        proto.alpha * lots / np.maximum(seg.seg_len, 1), 0.0, 1.0
-    )
-
-    # Per-trial draws in the dense order.  A trial with no overloaded
-    # resource draws nothing (the dense step returns before sampling).
-    # Dynamic batches draw exactly the live-task count — the dense step
-    # draws ``rng.random(m_live)`` — and scatter onto the live slots in
-    # ascending order, which is exactly the dense task order.
-    has_ov = overloaded.any(axis=1)
-    u = batch._scratch_u
-    if batch.dynamic:
-        for row in np.flatnonzero(has_ov):
-            live_idx = np.flatnonzero(batch.live_mask[row])
-            u[row, live_idx] = rngs[row].random(live_idx.shape[0])
-    else:
-        for row in np.flatnonzero(has_ov):
-            rngs[row].random(out=u[row])
-
-    mover_mask = u.ravel()[seg.sub_abs] < p_seg.repeat(seg.seg_len)
-    cand_abs = seg.sub_abs[mover_mask]
-    # The dense step lists movers in ascending task order per trial
-    # (``flatnonzero``); absolute slots sort to exactly that.
-    mov_sorter = np.argsort(cand_abs)
-    mov_abs = cand_abs[mov_sorter]
-    mov_pos = seg.pos[mover_mask][mov_sorter]
-    mov_trial = mov_abs // m
-    k = np.bincount(mov_trial, minlength=A)
-
-    movers_stats = k.astype(np.int64)
-    moved_weight = np.zeros(A)
-    if mov_abs.shape[0] == 0:
-        return BatchStepStats(
-            movers=movers_stats,
-            moved_weight=moved_weight,
-            overloaded_before=overloaded_before,
-            potential_before=potential_before,
-            max_load_before=max_load_before,
-            loads_after=loads,
-        )
-
-    total = mov_abs.shape[0]
-    dest = np.empty(total, dtype=np.int64)
-    arrival = np.empty(total, dtype=np.int64)
-    # Python ints: NumPy-integer sizes and slice bounds slow every
-    # draw and slice below
-    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
-    w_mov = batch.w_task.ravel()[mov_abs]
-    src = (
-        batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
-        if proto.walk is not None
-        else None
-    )
-    fifo = proto.arrival_order != "random"
-    for row in range(A):
-        lo, hi = bounds[row], bounds[row + 1]
-        if lo == hi:
-            continue
-        rng = rngs[row]
-        if proto.walk is None:
-            dest[lo:hi] = rng.integers(0, n, size=hi - lo)
-        else:
-            dest[lo:hi] = proto.walk.step(src[lo:hi], rng)
-        moved_weight[row] = float(w_mov[lo:hi].sum())
-        if fifo:
-            arrival[lo:hi] = np.arange(hi - lo)
-        else:
-            arrival[lo:hi] = rng.permutation(hi - lo)
-
-    loads_after = batch.apply_moves(mov_abs, mov_pos, dest, arrival, loads)
-    return BatchStepStats(
-        movers=movers_stats,
-        moved_weight=moved_weight,
-        overloaded_before=overloaded_before,
-        potential_before=potential_before,
-        max_load_before=max_load_before,
-        loads_after=loads_after,
-    )
+    return _kernel_round(proto, batch, rngs, rows, _user_movers)
 
 
 def resource_step_batch(
     proto: ResourceControlledProtocol,
     batch: BatchState,
     rngs: list[np.random.Generator],
+    rows: np.ndarray | None = None,
 ) -> BatchStepStats:
-    """One vectorised resource-controlled round for every trial.
+    """One vectorised resource-controlled round for every trial in
+    ``batch`` (or for the ``rows`` subset, see :func:`_kernel_round`).
 
-    Algorithm 5.1 ejects every cutting/above task of every *overloaded*
-    resource, so this kernel evaluates the below mask on those
-    resources' segments only (shared with :func:`user_step_batch`),
-    returns early when no row has an overloaded resource, and walks each
-    trial's movers with that trial's generator, in the dense order
-    (stack order, one walk step, one arrival permutation).
+    Algorithm 5.1 ejects every cutting/above task of every overloaded
+    resource, so the below mask is evaluated on those resources'
+    segments only, and each trial's movers walk with that trial's
+    generator in the dense order (stack order, one walk step, one
+    arrival permutation).
     """
-    A, m = batch.A, batch.m
-    loads = batch.fresh_loads()
-    overloaded = loads > batch.bound
-    if not overloaded.any():
-        return _idle_round(batch, loads, overloaded)
-    seg = _overloaded_segments(batch, loads, overloaded)
-    overloaded_before, potential_before, max_load_before = _stats_before(
-        batch, loads, overloaded, seg
-    )
-
-    active = ~seg.below
-    mov_pos = seg.pos[active]  # stack order, grouped by trial
-    mov_abs = seg.sub_abs[active]
-    mov_trial = mov_abs // m
-    k = np.bincount(mov_trial, minlength=A)
-
-    # moved weight: the dense step sums the compressed sorted weights
-    w_act = seg.w_sub[active]
-    # Python ints: NumPy-integer sizes and slice bounds slow every
-    # draw and slice below
-    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
-    moved_weight = np.zeros(A)
-    for row in range(A):
-        lo, hi = bounds[row], bounds[row + 1]
-        if lo != hi:
-            moved_weight[row] = float(w_act[lo:hi].sum())
-
-    if mov_abs.shape[0] == 0:
-        return BatchStepStats(
-            movers=k.astype(np.int64),
-            moved_weight=moved_weight,
-            overloaded_before=overloaded_before,
-            potential_before=potential_before,
-            max_load_before=max_load_before,
-            loads_after=loads,
-        )
-
-    dest = np.empty(mov_abs.shape[0], dtype=np.int64)
-    arrival = np.empty(mov_abs.shape[0], dtype=np.int64)
-    src = batch.key_task.ravel()[mov_abs] - mov_trial * batch.stride
-    for row in range(A):
-        lo, hi = bounds[row], bounds[row + 1]
-        if lo == hi:
-            continue
-        rng = rngs[row]
-        dest[lo:hi] = proto.walk.step(src[lo:hi], rng)
-        if proto.arrival_order == "random":
-            arrival[lo:hi] = rng.permutation(hi - lo)
-        else:
-            arrival[lo:hi] = np.arange(hi - lo)
-
-    loads_after = batch.apply_moves(mov_abs, mov_pos, dest, arrival, loads)
-    return BatchStepStats(
-        movers=k.astype(np.int64),
-        moved_weight=moved_weight,
-        overloaded_before=overloaded_before,
-        potential_before=potential_before,
-        max_load_before=max_load_before,
-        loads_after=loads_after,
-    )
+    return _kernel_round(proto, batch, rngs, rows, _resource_movers)
 
 
 def hybrid_step_batch(
@@ -1401,28 +1311,21 @@ def hybrid_step_batch(
 ) -> BatchStepStats:
     """One vectorised hybrid round for every trial in ``batch``.
 
-    Mirrors ``HybridProtocol.step`` per trial.  In probabilistic mode
-    each trial's round-type coin is drawn from that trial's own
-    generator *before* any kernel draws — exactly the dense
-    ``_pick_resource_round`` → component ``step`` call order, so trial
-    streams stay aligned.  The live rows are then partitioned into a
-    resource-round subset and a user-round subset, each stepped by its
-    component kernel on an extracted sub-batch (trials are independent,
-    so sub-batch stepping is bit-identical to full-batch stepping), and
-    the per-subset stats are merged back into trial order.  Alternate
+    Mirrors ``HybridProtocol.step`` per trial: each row's round type
+    comes from the dense ``_pick_resource_round``, so in probabilistic
+    mode each trial's coin is drawn from that trial's own generator
+    *before* any kernel draws — exactly the dense call order, so trial
+    streams stay aligned.  When the coins split the rows, the resource
+    kernel steps the coin rows and the user kernel the rest, both in
+    place on the whole batch under a row mask (trials are independent,
+    and a masked-out row sees no overload and draws nothing), and each
+    row keeps the statistics of the kernel that stepped it.  Alternate
     mode is lockstep — all live trials have executed the same number of
-    rounds, so one shared parity decides the round type and no coin is
-    drawn (the dense path draws none either).
+    rounds, so one shared parity gives every row the same round type
+    and no coin is drawn (the dense path draws none either).
     """
-    if proto.mode == "alternate":
-        use_resource = proto._round % 2 == 0
-        proto._round += 1
-        if use_resource:
-            return resource_step_batch(proto.resource_protocol, batch, rngs)
-        return user_step_batch(proto.user_protocol, batch, rngs)
-
     coin = np.fromiter(
-        (rng.random() < proto.resource_fraction for rng in rngs),
+        (proto._pick_resource_round(rng) for rng in rngs),
         dtype=bool,
         count=batch.A,
     )
@@ -1431,40 +1334,12 @@ def hybrid_step_batch(
         return resource_step_batch(proto.resource_protocol, batch, rngs)
     if not coin.any():
         return user_step_batch(proto.user_protocol, batch, rngs)
-
-    subsets = []
-    for rows, kernel, component in (
-        (np.flatnonzero(coin), resource_step_batch, proto.resource_protocol),
-        (np.flatnonzero(~coin), user_step_batch, proto.user_protocol),
-    ):
-        sub = batch.extract(rows)
-        stats = kernel(component, sub, [rngs[r] for r in rows])
-        batch.scatter(sub, rows)
-        subsets.append((rows, stats))
-
-    A = batch.A
-    movers = np.empty(A, dtype=np.int64)
-    moved_weight = np.empty(A)
-    loads_after = np.empty((A, batch.stride))
-    if batch.record_stats:
-        overloaded_before = np.empty(A, dtype=np.int64)
-        potential_before = np.empty(A)
-        max_load_before = np.empty(A)
-    else:
-        overloaded_before = potential_before = max_load_before = None
-    for rows, stats in subsets:
-        movers[rows] = stats.movers
-        moved_weight[rows] = stats.moved_weight
-        loads_after[rows] = stats.loads_after
-        if batch.record_stats:
-            overloaded_before[rows] = stats.overloaded_before
-            potential_before[rows] = stats.potential_before
-            max_load_before[rows] = stats.max_load_before
-    return BatchStepStats(
-        movers=movers,
-        moved_weight=moved_weight,
-        overloaded_before=overloaded_before,
-        potential_before=potential_before,
-        max_load_before=max_load_before,
-        loads_after=loads_after,
-    )
+    stats = resource_step_batch(proto.resource_protocol, batch, rngs, coin)
+    user = user_step_batch(proto.user_protocol, batch, rngs, ~coin)
+    # every kernel returns freshly allocated arrays, so the user rows
+    # can be written into the resource round's statistics in place
+    for field in fields(BatchStepStats):
+        merged = getattr(stats, field.name)
+        if merged is not None:
+            merged[~coin] = getattr(user, field.name)[~coin]
+    return stats

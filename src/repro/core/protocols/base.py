@@ -12,7 +12,6 @@ recomputing partitions.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,26 +118,24 @@ class Protocol(ABC):
         every trial's protocol has the same type and the same (non-None)
         signature, so one instance can safely drive all trials.  The
         base implementation returns ``None`` — per-trial instances are
-        kept and :meth:`step_batch` falls back to looping over
-        :meth:`step`, which keeps third-party subclasses and
-        mixed-configuration sweeps correct.
+        kept and each trial runs through the dense simulator, which
+        keeps third-party subclasses and mixed-configuration sweeps
+        correct.
         """
         return None
 
     def step_batch(
-        self,
-        trials: Iterable[SystemState] | BatchState,
-        rngs: list[np.random.Generator],
-    ) -> list[StepStats] | BatchStepStats:
-        """Run one synchronous round for several independent trials.
+        self, batch: BatchState, rngs: list[np.random.Generator]
+    ) -> BatchStepStats:
+        """Run one synchronous round for every trial row of ``batch``.
 
-        ``trials`` is an iterable of per-trial :class:`SystemState`
-        objects (the batched backend's fallback hands protocols views of
-        its stacked arrays).  The base implementation loops over
-        :meth:`step`, so every protocol works under the batched backend;
-        ``UserControlledProtocol``, ``ResourceControlledProtocol`` and
-        ``HybridProtocol`` override it with vectorised kernels that take
-        a :class:`~repro.core.batch.BatchState` instead and return a
-        :class:`~repro.core.batch.BatchStepStats`.
+        ``rngs[i]`` is row ``i``'s generator.  ``UserControlledProtocol``,
+        ``ResourceControlledProtocol`` and ``HybridProtocol`` override
+        this with the vectorised kernels of :mod:`repro.core.batch`.
+        The base method only marks a protocol without a kernel: the
+        batched backend never calls it, and steps such a protocol's
+        trials one by one through the dense simulator instead.
         """
-        return [self.step(state, rng) for state, rng in zip(trials, rngs)]
+        raise NotImplementedError(
+            f"{type(self).__name__} has no vectorised step_batch kernel"
+        )

@@ -26,13 +26,15 @@ The hybrid participates in the batched engine
 (:mod:`repro.core.batch`): homogeneous hybrid sweeps are vectorised by
 drawing each trial's round-type coin from that trial's own generator
 *before* any kernel draws (the dense ``_pick_resource_round`` →
-``step`` call order) and routing the trial rows through the component
-kernels — see :func:`repro.core.batch.hybrid_step_batch`.
+``step`` call order).  When the coins split the rows, the resource
+kernel and then the user kernel step the whole batch in place, each
+under a mask of its own rows (a masked-out row sees no overload and
+draws nothing), so no sub-batch is ever cut out — see
+:func:`repro.core.batch.hybrid_step_batch`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,12 +116,8 @@ class HybridProtocol(Protocol):
         )
 
     def step_batch(
-        self,
-        trials: Iterable[SystemState] | BatchState,
-        rngs: list[np.random.Generator],
-    ) -> list[StepStats] | BatchStepStats:
-        from ..batch import BatchState, hybrid_step_batch
+        self, batch: BatchState, rngs: list[np.random.Generator]
+    ) -> BatchStepStats:
+        from ..batch import hybrid_step_batch
 
-        if isinstance(trials, BatchState):
-            return hybrid_step_batch(self, trials, rngs)
-        return super().step_batch(trials, rngs)
+        return hybrid_step_batch(self, batch, rngs)

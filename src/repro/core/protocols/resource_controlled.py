@@ -30,7 +30,6 @@ tolerates exactly this kind of per-resource capacity.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -147,12 +146,8 @@ class ResourceControlledProtocol(Protocol):
         )
 
     def step_batch(
-        self,
-        trials: Iterable[SystemState] | BatchState,
-        rngs: list[np.random.Generator],
-    ) -> list[StepStats] | BatchStepStats:
-        from ..batch import BatchState, resource_step_batch
+        self, batch: BatchState, rngs: list[np.random.Generator]
+    ) -> BatchStepStats:
+        from ..batch import resource_step_batch
 
-        if isinstance(trials, BatchState):
-            return resource_step_batch(self, trials, rngs)
-        return super().step_batch(trials, rngs)
+        return resource_step_batch(self, batch, rngs)

@@ -31,7 +31,6 @@ only read local quantities.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -226,12 +225,8 @@ class UserControlledProtocol(Protocol):
         )
 
     def step_batch(
-        self,
-        trials: Iterable[SystemState] | BatchState,
-        rngs: list[np.random.Generator],
-    ) -> list[StepStats] | BatchStepStats:
-        from ..batch import BatchState, user_step_batch
+        self, batch: BatchState, rngs: list[np.random.Generator]
+    ) -> BatchStepStats:
+        from ..batch import user_step_batch
 
-        if isinstance(trials, BatchState):
-            return user_step_batch(self, trials, rngs)
-        return super().step_batch(trials, rngs)
+        return user_step_batch(self, batch, rngs)

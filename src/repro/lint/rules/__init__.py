@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..engine import LintError, Rule
-from .batch import BatchContract, ExtractScatterPairing
+from .batch import BatchContract
 from .bulk import BulkBypass
 from .capacity import CapacityComparison, CapacityProduct
 from .config import ConfigMutation, FrozenBypass
@@ -20,7 +20,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     CapacityComparison,
     CapacityProduct,
     BatchContract,
-    ExtractScatterPairing,
     BulkBypass,
     BareExcept,
     SilentHandler,

@@ -1,21 +1,19 @@
-"""Batch-contract rules: the vectorised path can never silently fork.
+"""Batch-contract rule: the vectorised path can never silently fork.
 
 The batched backend vectorises a chunk only when every trial's protocol
 has the same type and the same non-None ``batch_signature()``; a class
 that ships ``step_batch`` without a signature (or the reverse) either
 never vectorises or — worse — vectorises trials whose configurations
-differ.  Sub-batch row extraction (``BatchState.extract``) borrows the
-parent's scratch buffers, so every extract must be scattered back
-before the parent state is touched again.
+differ.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..engine import Rule, attribute_chain
+from ..engine import Rule
 
-__all__ = ["BatchContract", "ExtractScatterPairing"]
+__all__ = ["BatchContract"]
 
 
 class BatchContract(Rule):
@@ -61,58 +59,3 @@ class BatchContract(Rule):
                 f"neither) to keep dense and batched paths in lockstep",
             )
         self.generic_visit(node)
-
-
-class ExtractScatterPairing(Rule):
-    id = "BAT002"
-    tag = "batch"
-    summary = "every BatchState.extract must be scattered back"
-    invariant = (
-        "Within one function, calls to .extract(...) and .scatter(...) "
-        "appear in equal numbers."
-    )
-    rationale = (
-        "extract() hands out a sub-batch that borrows the parent's "
-        "scratch buffers; results only flow back on scatter().  An "
-        "unpaired extract leaks rows whose moves are silently dropped "
-        "— exactly the hybrid round-state class of bug PR 3 fixed."
-    )
-    sanctioned = (
-        "sub = batch.extract(rows); ... ; batch.scatter(sub, rows) — "
-        "in the same function, on every code path."
-    )
-
-    def _count_calls(self, node: ast.AST) -> tuple[int, int]:
-        extracts = scatters = 0
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and isinstance(
-                sub.func, ast.Attribute
-            ):
-                chain = attribute_chain(sub.func)
-                # np.extract() is an unrelated numpy API
-                if chain[0] in ("np", "numpy"):
-                    continue
-                if sub.func.attr == "extract":
-                    extracts += 1
-                elif sub.func.attr == "scatter":
-                    scatters += 1
-        return extracts, scatters
-
-    def _check_function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        extracts, scatters = self._count_calls(node)
-        if extracts != scatters and (extracts or scatters):
-            self.report(
-                node,
-                f"function {node.name!r} calls .extract() "
-                f"{extracts}x but .scatter() {scatters}x — every "
-                f"extracted sub-batch must be scattered back",
-            )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_function(node)
-        # do not recurse: nested functions are counted with their parent
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_function(node)

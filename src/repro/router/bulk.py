@@ -119,11 +119,6 @@ class DrawBuffer:
         self._clock = clock
         self.fill_seconds = 0.0
 
-    @property
-    def available(self) -> int:
-        """Values peek-able without advancing the generator."""
-        return len(self._buf) - self._head
-
     def top_up(self, k: int) -> None:
         """Ensure ``k`` values are available, drawing the shortfall."""
         buf, head = self._buf, self._head
@@ -144,22 +139,6 @@ class DrawBuffer:
         self._head = 0
         if clock is not None:
             self.fill_seconds += clock() - t0
-
-    def peek(self, k: int) -> list[Any]:
-        """The next ``k`` values (call :meth:`top_up` first)."""
-        return self._buf[self._head : self._head + k]
-
-    def consume(self, k: int) -> None:
-        """Discard the next ``k`` values (they were peeked and used)."""
-        self._head += k
-
-    def take(self) -> float:
-        """Pop one value (topping up by one if empty)."""
-        if self._head >= len(self._buf):
-            self.top_up(1)
-        v = self._buf[self._head]
-        self._head += 1
-        return float(v)
 
     def draw(self, k: int) -> list[Any]:
         """Pop the next ``k`` values, drawing only the shortfall."""

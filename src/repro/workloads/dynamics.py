@@ -41,12 +41,13 @@ lifetime ``L`` is therefore present for rounds ``t .. t + L - 1``.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.thresholds import validate_weights
+from ..core.thresholds import validate_weight, validate_weights
 from .weights import WeightDistribution
 
 __all__ = [
@@ -104,8 +105,11 @@ class DeterministicLifetimes(LifetimeDistribution):
     rounds: int
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("lifetimes must be at least one round")
+        rounds = validate_weight(self.rounds, "lifetime")
+        if not rounds.is_integer():
+            raise ValueError(
+                f"lifetime must be a whole number of rounds, not {rounds}"
+            )
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(k, self.rounds, dtype=np.int64)
@@ -126,8 +130,7 @@ class ExponentialLifetimes(LifetimeDistribution):
     mean: float
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError("mean lifetime must be positive")
+        validate_weight(self.mean, "mean lifetime")
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         draws = np.ceil(rng.exponential(self.mean, k))
@@ -259,6 +262,16 @@ class DynamicsSpec(ABC):
         return type(self).__name__
 
 
+def _check_rate(rate: float) -> None:
+    """Reject an arrival rate that is not a finite number >= 0 (zero
+    is legal: a drain phase).  NaN passes ``rate < 0`` and would fail
+    only inside ``compile``, mid-sweep."""
+    if not 0.0 <= float(rate) < math.inf:
+        raise ValueError(
+            f"arrival rate must be a finite number >= 0, not {rate}"
+        )
+
+
 def _compile_counts(
     counts: np.ndarray,
     n: int,
@@ -318,8 +331,7 @@ class PoissonDynamics(DynamicsSpec):
     rethreshold: bool = True
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("arrival rate must be non-negative")
+        _check_rate(self.rate)
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
 
@@ -364,8 +376,9 @@ class PhasedDynamics(DynamicsSpec):
         if not self.phases:
             raise ValueError("need at least one (rounds, rate) phase")
         for rounds, rate in self.phases:
-            if rounds < 0 or rate < 0:
-                raise ValueError("phase rounds and rates must be >= 0")
+            if rounds < 0:
+                raise ValueError("phase rounds must be >= 0")
+            _check_rate(rate)
 
     @property
     def horizon(self) -> int:

@@ -177,16 +177,6 @@ class TestThirdPartyFallback:
             for d, b in zip(dense, batched)
         )
 
-    def test_base_step_batch_api(self):
-        """Protocol.step_batch on plain state lists loops over step()."""
-        proto = _CountingProtocol()
-        states = [SETUP(np.random.default_rng(s))[1] for s in (0, 1)]
-        rngs = [np.random.default_rng(s) for s in (0, 1)]
-        stats = proto.step_batch(states, rngs)
-        assert len(stats) == 2
-        assert proto.calls == 2
-        assert all(isinstance(s, StepStats) for s in stats)
-
     def test_protocol_subclass_falls_back(self):
         """A subclass tweaking any helper must not inherit the
         vectorised kernel — it opts out of batching entirely."""

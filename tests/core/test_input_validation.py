@@ -43,7 +43,13 @@ from repro.workloads import (
     speed_stats,
     weight_stats,
 )
-from repro.workloads.dynamics import DynamicsSchedule
+from repro.workloads.dynamics import (
+    DeterministicLifetimes,
+    DynamicsSchedule,
+    ExponentialLifetimes,
+    PhasedDynamics,
+    PoissonDynamics,
+)
 
 
 def _state() -> SystemState:
@@ -119,6 +125,10 @@ VERBS = {
     "UserControlledProtocol(wmax_estimate)": lambda w: UserControlledProtocol(
         wmax_estimate=w
     ),
+    # a non-finite lifetime cast to int64 reads INT64_MIN: those tasks
+    # would silently never depart
+    "ExponentialLifetimes": ExponentialLifetimes,
+    "DeterministicLifetimes": DeterministicLifetimes,
 }
 
 
@@ -127,6 +137,26 @@ VERBS = {
 def test_every_ingestion_verb_rejects_nan_and_inf(verb, bad):
     with pytest.raises(ValueError, match="must be a positive number"):
         VERBS[verb](bad)
+
+
+def test_fractional_deterministic_lifetime_rejected():
+    with pytest.raises(ValueError, match="whole number of rounds"):
+        DeterministicLifetimes(2.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda rate: PoissonDynamics(rate=rate, horizon=5),
+        lambda rate: PhasedDynamics(phases=((5, 1.0), (5, rate))),
+    ],
+    ids=["poisson", "phased"],
+)
+def test_arrival_rates_must_be_finite_and_non_negative(spec, bad):
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        spec(bad)
+    spec(0.0)  # a drain phase stays legal
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

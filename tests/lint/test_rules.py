@@ -11,6 +11,7 @@ out-of-scope copy proving the scope actually restricts.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,17 @@ def test_rule_catalogue_metadata() -> None:
         assert rule.invariant
         assert rule.rationale
         assert rule.sanctioned
+
+
+def test_readme_rule_table_lists_every_rule() -> None:
+    """The README's rule table names exactly the registered rules."""
+    readme = Path(__file__).parents[2] / "README.md"
+    rows = re.findall(
+        r"^\| `([A-Z]+[0-9]+)` \|",
+        readme.read_text(encoding="utf-8"),
+        flags=re.MULTILINE,
+    )
+    assert sorted(rows) == sorted(rule.id for rule in ALL_RULES)
 
 
 def test_get_rule_unknown_id() -> None:

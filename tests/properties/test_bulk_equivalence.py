@@ -301,21 +301,18 @@ def test_block_double_draw_equals_sequential_scalars():
 
 def test_draw_buffer_tops_up_exact_shortfall():
     """The buffer never over-draws: its generator tracks the scalar
-    stream position value-for-value at every peek/consume/take."""
+    stream position value-for-value at every top_up/draw."""
     buf_rng = np.random.default_rng(SEED)
     ref_rng = np.random.default_rng(SEED)
     buf = DrawBuffer(buf_rng, N)
     buf.top_up(5)
-    assert np.array_equal(buf.peek(5), ref_rng.integers(0, N, size=5))
-    buf.consume(3)
-    assert buf.available == 2
-    buf.top_up(4)  # draws exactly 2 more
-    assert buf.available == 4
+    head = ref_rng.integers(0, N, size=5)
+    assert buf_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(buf.draw(3), head[:3])
+    buf.top_up(4)  # two are left over: draws exactly 2 more
     tail = ref_rng.integers(0, N, size=2)
-    assert np.array_equal(buf.peek(4)[2:], tail)
-    for _ in range(4):
-        buf.take()
-    assert buf.available == 0
+    assert buf_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(buf.draw(4), np.r_[head[3:], tail])
     assert buf_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
