@@ -84,16 +84,21 @@ extra *parking column* per trial (local resource index ``n``, stride
 ``n + 1``): unborn and departed slots sit in the parking column with
 weight ``0.0`` and an infinite bound, so they never overload, never
 move, contribute exactly ``0.0`` to every load bin they never touch,
-and sort to the end of their trial's stack segment.  The chunk's events
-are pre-sorted by round (:class:`_ChunkEvents`), so each round finds
-its departures and arrivals by bisection and applies them through the
-same order-merge the protocol movers use (disjoint destination keys, so
-one merge call equals the dense remove-then-add), then steps the
-kernels unchanged — every per-trial reduction sees exactly the dense
-operand lengths, which preserves the bit-for-bit contract.  A static
-(one-shot) chunk is the case with ``stride == n``, zero parked slots
-and no events: its arithmetic is untouched and it records no online
-time series.
+and sort to the end of their trial's stack segment.  Whatever the
+schedules alone decide is compiled once per chunk
+(:class:`_ChunkEvents`): the departures the dense loop performs, each
+event round's events as one slice already in merge order, and every
+trial's live-count and ``W(t)`` series.  A round then applies its slice
+through the same order-merge the protocol movers use (disjoint
+destination keys, so one merge call equals the dense remove-then-add)
+and steps the kernels unchanged — every per-trial reduction sees
+exactly the dense operand lengths, which preserves the bit-for-bit
+contract.  The rest of a round's bookkeeping is whole-batch: per-row
+tallies, one column write per recorded series, and a retire test that
+waits for the earliest live trial's last event.  A static (one-shot)
+chunk is the case with ``stride == n``, zero parked slots and no
+events: its arithmetic is untouched and it records no online time
+series.
 
 Two hot-loop economies keep the engine fast at the scale frontier
 (n ~ 10^5, m ~ 10^6 per trial) without touching the contract above:
@@ -105,11 +110,11 @@ Two hot-loop economies keep the engine fast at the scale frontier
   change any float accumulation, and stack keys stay unique, so results
   are bit-identical either way; the fused merge sort key
   ``key * (m + 1) + arrival`` always computes in int64.
-* **Scratch reuse.**  The row-wise cumsum, the merge output and the
-  dynamic inverse-permutation all write into buffers allocated once
-  per chunk (the merge ping-pongs ``order`` against a twin buffer), so
-  steady-state rounds reallocate none of them; static chunks never
-  build the dynamic buffers.
+* **Scratch reuse.**  The row-wise cumsum, the merge's output and
+  masks, and the dynamic inverse permutation all write into buffers
+  allocated once per chunk (the merge ping-pongs ``order`` against a
+  twin buffer), so steady-state rounds reallocate none of them; static
+  chunks never build the dynamic buffers.
 
 Protocols opt into vectorisation by overriding
 :meth:`~repro.core.protocols.base.Protocol.step_batch`, which takes a
@@ -135,11 +140,11 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from ..workloads.dynamics import INFINITE_LIFETIME, DynamicsSchedule
+from ..workloads.dynamics import INFINITE_LIFETIME
 from .backends import SimulationBackend, TrialSetup, build_trial
 from .protocols.base import Protocol
 from .protocols.user_controlled import _ceil_lots
-from .simulator import RunResult, _TraceBuffer, simulate
+from .simulator import RunResult, simulate
 from .state import SystemState
 
 if TYPE_CHECKING:
@@ -208,89 +213,214 @@ def _index_dtype(A: int, m: int, stride: int) -> np.dtype:
     return np.dtype(np.int32 if hi < 2**31 else np.int64)
 
 
-def _segmented_arange(lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(k) for k in lengths])`` without the loop."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+def _slice_sums(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """``values[s : s + k].sum()`` for every ``(s, k)``, one call per
+    distinct length instead of one per slice.
+
+    The slices of one length are gathered into the rows of a
+    C-contiguous matrix, and a row-wise sum reduces each row with the
+    same pairwise summation as the 1-D ``sum`` of those operands, so
+    every result is bit-equal to the slice's own ``.sum()``
+    (``np.add.reduceat`` is not: it adds sequentially).
+    """
+    out = np.empty(starts.shape[0])
+    for k in np.unique(lengths).tolist():
+        sel = lengths == k
+        out[sel] = values[starts[sel, None] + np.arange(k)].sum(axis=1)
+    return out
 
 
-def _run_sums(
-    keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(key, values[run].sum())`` for each run of equal ``keys`` — one
-    slice sum per run, the dense per-trial summation order."""
-    starts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-    bounds = [0, *starts, keys.size]
-    sums = [values[a:b].sum() for a, b in zip(bounds, bounds[1:])]
-    return keys[bounds[:-1]], np.array(sums)
+def _round_runs(
+    trial: np.ndarray, rnd: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of equal ``(trial, round)`` in events sorted that way:
+    each run's trial, round, event count and weight sum (the slice sum
+    of its weights, in the given order)."""
+    if not trial.shape[0]:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none, np.empty(0)
+    cut = np.flatnonzero((trial[1:] != trial[:-1]) | (rnd[1:] != rnd[:-1]))
+    starts = np.r_[0, cut + 1]
+    lengths = np.diff(np.r_[starts, trial.shape[0]])
+    return (
+        trial[starts],
+        rnd[starts],
+        lengths,
+        _slice_sums(weight, starts, lengths),
+    )
+
+
+def _hold(rounds: np.ndarray, values: np.ndarray, last: int) -> np.ndarray:
+    """The per-round float series, over rounds ``1..last``, of a
+    quantity that takes ``values[j]`` from round ``rounds[j]`` on
+    (``rounds`` ascending, starting at 0)."""
+    at = np.searchsorted(rounds, np.arange(1, last + 1), side="right")
+    return values[at - 1].astype(np.float64)
 
 
 class _ChunkEvents:
-    """The scheduled departures and arrivals of a dynamic chunk.
+    """The population events of a dynamic chunk, compiled once.
 
-    Each kind is sorted by ``(round, trial, slot)``, so a round's events
-    are one contiguous range found by bisection instead of an
-    ``O(A * m)`` scan of the slots.  Slots are absolute in the chunk's
-    original row numbering (``trial * m + slot``; slot ``m0 + j`` is a
-    trial's ``j``-th arrival); the round loop re-bases them onto the
-    live rows.
+    An event moves one slot: a departure parks a live slot (weight
+    ``0.0``, its trial's parking column), an arrival brings the slot
+    its schedule reserved (slot ``m0 + j`` is a trial's ``j``-th
+    arrival) onto its scheduled resource with its weight.  Departures
+    the dense loop never performs are dropped here: those at infinity,
+    and those at or before the task's own arrival round (the dense loop
+    pops round ``t``'s departures before it books round ``t``'s
+    arrivals).  The rest are sorted by ``(round, destination key,
+    slot)``: each event round's events are one slice, looked up by
+    round, already in the order the stack-order merge places them,
+    since ascending slot is schedule order within every destination
+    stack.  Slots and keys are absolute in the batch's row numbering;
+    :meth:`rebase` moves the pending ones when rows retire.
+
+    The schedule alone also fixes each trial's live-task count and
+    total live weight ``W(t)``, so both are computed here, at the
+    trial's event rounds only; ``W(t)`` follows the dense loop's order:
+    the round's departed weight subtracted, then its arrived weight
+    added, each summed over the round's tasks in task order.  Every
+    table grows with the events, not with the rounds.
     """
 
-    def __init__(
-        self, scheds: list[DynamicsSchedule], m: int, m0: int
+    def __init__(self, states: list[SystemState], m: int, stride: int) -> None:
+        n, m0 = stride - 1, states[0].m
+        scheds = [s.dynamics for s in states if s.dynamics is not None]
+        self.policies = [sc.policy for sc in scheds]
+        self.last = np.array(
+            [sc.last_event_round for sc in scheds], dtype=np.int64
+        )
+        # per trial: trial, round, slot and weight of each event
+        dep: list[tuple[np.ndarray, ...]] = []
+        arr: list[tuple[np.ndarray, ...]] = []
+        for i, (s, sc) in enumerate(zip(states, scheds)):
+            k = sc.total_arrivals
+            born = np.r_[np.zeros(m0, dtype=np.int64), sc.arrive_round]
+            depart = np.r_[sc.initial_depart, sc.arrive_depart]
+            gone = np.flatnonzero(
+                (born < depart) & (depart < INFINITE_LIFETIME)
+            )
+            weight = np.r_[s.weights, sc.arrive_weight]
+            dep.append(
+                (np.full(gone.shape[0], i), depart[gone], gone, weight[gone])
+            )
+            arr.append(
+                (
+                    np.full(k, i),
+                    sc.arrive_round,
+                    m0 + np.arange(k),
+                    sc.arrive_weight,
+                )
+            )
+        d_trial, d_round, d_slot, d_w = map(np.concatenate, zip(*dep))
+        a_trial, a_round, a_slot, a_w = map(np.concatenate, zip(*arr))
+        # arrivals already come in (trial, round, slot) order
+        by = np.lexsort((d_slot, d_round, d_trial))
+        d_trial, d_round, d_slot = d_trial[by], d_round[by], d_slot[by]
+        d_w = d_w[by]
+        self._build_series(
+            states,
+            _round_runs(d_trial, d_round, d_w),
+            _round_runs(a_trial, a_round, a_w),
+        )
+
+        trial = np.r_[d_trial, a_trial]
+        rnd = np.r_[d_round, a_round]
+        slot = np.r_[d_slot, a_slot]
+        dest = np.r_[
+            np.full(d_trial.shape[0], n),
+            np.concatenate([sc.arrive_place for sc in scheds]),
+        ]
+        by = np.lexsort((slot, dest, trial, rnd))
+        self.round, trial, dest = rnd[by], trial[by], dest[by]
+        self.slot = trial * m + slot[by]
+        self.key = trial * stride + dest
+        self.weight = np.r_[np.zeros(d_trial.shape[0]), a_w][by]
+        self.live = dest != n
+        first = np.flatnonzero(np.diff(self.round, prepend=0))
+        ends = np.r_[first[1:], self.round.shape[0]]
+        #: event round -> (start, end) of its slice
+        self.slices = dict(
+            zip(
+                self.round[first].tolist(),
+                zip(first.tolist(), ends.tolist()),
+            )
+        )
+        self.m, self.stride = m, stride
+
+    def _build_series(
+        self,
+        states: list[SystemState],
+        departed: tuple[np.ndarray, ...],
+        arrived: tuple[np.ndarray, ...],
     ) -> None:
-        dep_round = np.concatenate(
-            [np.r_[sc.initial_depart, sc.arrive_depart] for sc in scheds]
-        )
-        dep_slot = np.concatenate(
-            [
-                i * m + np.arange(m0 + sc.total_arrivals)
-                for i, sc in enumerate(scheds)
-            ]
-        )
-        due = (dep_round >= 1) & (dep_round < INFINITE_LIFETIME)
-        order = np.argsort(dep_round[due], kind="stable")
-        self.dep_round = dep_round[due][order]
-        self.dep_slot = dep_slot[due][order]
-        arr_round = np.concatenate([sc.arrive_round for sc in scheds])
-        order = np.argsort(arr_round, kind="stable")
-        self.arr_round = arr_round[order]
-        self.arr_slot = np.concatenate(
-            [
-                i * m + m0 + np.arange(sc.total_arrivals)
-                for i, sc in enumerate(scheds)
-            ]
-        )[order]
-        self.arr_place = np.concatenate(
-            [sc.arrive_place for sc in scheds]
-        )[order]
-        self.arr_weight = np.concatenate(
-            [sc.arrive_weight for sc in scheds]
-        )[order]
-        self._dep = self._arr = 0  # events consumed so far
+        """Each trial's event rounds (after round 0) and its live count
+        and ``W(t)`` from each of them on, from the ``(trial, round)``
+        runs of its events."""
+        self.series_rounds: list[np.ndarray] = []
+        self.live_counts: list[np.ndarray] = []
+        self.total_weight: list[np.ndarray] = []
+        d_trial, d_round, d_count, d_sum = departed
+        a_trial, a_round, a_count, a_sum = arrived
+        trials = np.arange(len(states) + 1)
+        d_at = np.searchsorted(d_trial, trials).tolist()
+        a_at = np.searchsorted(a_trial, trials).tolist()
+        for i, s in enumerate(states):
+            d = slice(d_at[i], d_at[i + 1])
+            a = slice(a_at[i], a_at[i + 1])
+            rounds = np.union1d(d_round[d], a_round[a])
+            d_j = np.searchsorted(rounds, d_round[d]) + 1
+            a_j = np.searchsorted(rounds, a_round[a]) + 1
+            count = np.zeros(rounds.shape[0] + 1, dtype=np.int64)
+            count[0] = s.m
+            count[d_j] -= d_count[d]
+            count[a_j] += a_count[a]
+            # One running sum over (W0, -D1, +A1, -D2, +A2, ...): cumsum
+            # adds sequentially, like the dense loop's float updates,
+            # and -0.0 stands for "no event", since x + -0.0 == x.
+            steps = np.full(2 * rounds.shape[0] + 1, -0.0)
+            steps[0] = float(s.weights.sum())
+            steps[2 * d_j - 1] = -d_sum[d]
+            steps[2 * a_j] = a_sum[a]
+            self.series_rounds.append(np.r_[0, rounds])
+            self.live_counts.append(np.cumsum(count))
+            self.total_weight.append(np.cumsum(steps)[::2])
 
     def due(
         self, t: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Round ``t``'s departing slots, then its arriving slots with
-        their places and weights (call once per round, in order)."""
-        lo, self._dep = self._dep, int(
-            np.searchsorted(self.dep_round, t, side="right")
-        )
-        dep = self.dep_slot[lo : self._dep]
-        lo, self._arr = self._arr, int(
-            np.searchsorted(self.arr_round, t, side="right")
-        )
-        arr = slice(lo, self._arr)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Round ``t``'s events (slots, destination keys, new weights,
+        live flags), or ``None`` when it has none."""
+        span = self.slices.get(t)
+        if span is None:
+            return None
+        lo, hi = span
         return (
-            dep,
-            self.arr_slot[arr],
-            self.arr_place[arr],
-            self.arr_weight[arr],
+            self.slot[lo:hi],
+            self.key[lo:hi],
+            self.weight[lo:hi],
+            self.live[lo:hi],
         )
+
+    def series(self, trial: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """``trial``'s live count and ``W(t)`` after each of its first
+        ``rounds`` rounds."""
+        at = self.series_rounds[trial]
+        return (
+            _hold(at, self.live_counts[trial], rounds),
+            _hold(at, self.total_weight[trial], rounds),
+        )
+
+    def rebase(self, keep: np.ndarray, t: int) -> None:
+        """Re-base the events after round ``t`` onto the rows that are
+        left once the rows outside ``keep`` (none pending) are dropped."""
+        p = int(np.searchsorted(self.round, t, side="right"))
+        shift = np.arange(keep.shape[0]) - (np.cumsum(keep) - 1)
+        row_shift = shift[self.slot[p:] // self.m]
+        self.slot[p:] -= row_shift * self.m
+        self.key[p:] -= row_shift * self.stride
 
 
 class BatchState:
@@ -361,14 +491,12 @@ class BatchState:
             seq[:, m0:] = base + np.arange(m - m0, dtype=np.int64)
             self.live_mask = np.zeros((A, m), dtype=bool)
             self.live_mask[:, :m0] = True
-            self.m_live = np.full(A, m0, dtype=np.int64)
         else:
             self.w_task = np.stack([s.weights for s in states])
             resource = np.stack([s.resource for s in states])
             seq = np.stack([s.seq for s in states])
             self.key_task = resource + trial_base
             self.live_mask = None
-            self.m_live = None
         self.key_task = self.key_task.astype(self.idx, copy=False)
         self.counts = np.bincount(
             self.key_task.ravel(), minlength=A * stride
@@ -406,7 +534,7 @@ class BatchState:
             self.bound[:, n] = np.inf
         else:
             self.bound = self.cap + self.atol[:, None]
-        self.wmax = self.w_task.max(axis=1) if m else np.zeros(A)
+        self._wmax: np.ndarray | None = None
         self.thresholds = [s.threshold for s in states]
         #: When False, kernels may skip the stats reductions that only
         #: feed traces (potential / overload count / max load).
@@ -414,18 +542,30 @@ class BatchState:
         self._scratch_u = np.empty((A, m))
         self._scratch_indptr = np.zeros((A, stride + 1), dtype=np.int64)
         # Round-persistent buffers: the row cumsum (every overloaded
-        # round) and the merge ping-pong twin of ``order`` (see
-        # _merge_movers); the dynamic inverse permutation and the
-        # arange it scatters only exist for dynamic chunks — static
-        # ones never build them.
+        # round), the merge ping-pong twin of ``order`` and the merge's
+        # stayer/free masks (see _merge_movers); the dynamic inverse
+        # permutation and the arange it scatters only exist for
+        # dynamic chunks — static ones never build them.
         self._scratch_cum = np.empty((A, m))
         self._order_buf = np.empty(A * m, dtype=self.idx)
+        self._scratch_masks = np.empty((2, A * m), dtype=bool)
         self._scratch_inv = (
             np.empty(A * m, dtype=self.idx) if self.dynamic else None
         )
         self._scratch_arange = (
             np.arange(A * m, dtype=self.idx) if self.dynamic else None
         )
+
+    @property
+    def wmax(self) -> np.ndarray:
+        """Per-row largest task weight, the dense ``state.wmax``:
+        parked slots weigh ``0.0``, so the slot-wide max is the live
+        max.  Computed when first read after a population change (the
+        only thing that can alter it) — the user kernel reads it, the
+        resource kernel never does."""
+        if self._wmax is None:
+            self._wmax = self.w_task.max(axis=1)
+        return self._wmax
 
     # ------------------------------------------------------------------
     def fresh_loads(self) -> np.ndarray:
@@ -510,7 +650,11 @@ class BatchState:
                 key_new, weights=w_mov, minlength=A * stride
             ).reshape(A, stride)
         )
-        self._merge_movers(mov_abs, mov_pos, key_new, arrival)
+        # Movers stack on top of their destination in arrival order:
+        # sort them by (destination key, arrival rank) — ranks are <= m,
+        # so one fused integer key replaces a two-key lexsort.
+        by_dest = np.argsort(key_new * np.int64(m + 1) + arrival)
+        self._merge_movers(mov_abs[by_dest], mov_pos, key_new[by_dest])
         return loads_after
 
     def _merge_movers(
@@ -518,110 +662,97 @@ class BatchState:
         mov_abs: np.ndarray,
         mov_pos: np.ndarray,
         key_new: np.ndarray,
-        arrival: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Re-key movers and splice them back into the stack order.
 
         Shared by :meth:`apply_moves` (protocol migrations) and
-        :meth:`apply_population_events` (dynamic arrivals/departures):
-        update ``key_task`` and ``counts``, place each mover directly
-        on top of its destination stack's stayers, ordered among the
-        stack's movers by ``arrival`` rank, and let the stayers fill the
+        :meth:`apply_population_events` (dynamic arrivals/departures).
+        The movers come sorted by destination key and, within one
+        destination, in the order they stack (``mov_pos``, their
+        current positions, may come in any order).  Update ``key_task``
+        and ``counts``, place each mover directly on top of its
+        destination stack's stayers, and let the stayers fill the
         remaining positions in their old order.  Beyond one compress
         and one masked assign of the stayers, the cost follows the
-        movers.
+        movers.  Returns the per-key count of arriving movers.
         """
         A, m = self.A, self.m
-        stride = self.stride
+        size = A * self.stride
         key_flat = self.key_task.ravel()
         key_old = key_flat[mov_abs]
         key_flat[mov_abs] = key_new
-        into = np.bincount(key_new, minlength=A * stride)
-        self.counts += (
-            into - np.bincount(key_old, minlength=A * stride)
-        ).reshape(A, stride)
-
-        # Movers stack on top of their destination in arrival order:
-        # sort them by (destination key, arrival rank) — ranks are <= m,
-        # so one fused integer key replaces a two-key lexsort.  Stacks
-        # lie in key order and every trial's fill exactly its m
+        counts = self.counts.ravel()  # a view: counts is C-contiguous
+        counts -= np.bincount(key_old, minlength=size)
+        # Stacks lie in key order and every trial's fill exactly its m
         # positions (the parking column included), so the i-th mover
         # lands after the stayers of every stack up to its own (a flat
         # running count) and after the i movers sorted before it.
-        stay_end = np.cumsum(self.counts.ravel() - into)
-        mov_sort = np.argsort(key_new * np.int64(m + 1) + arrival)
-        new_pos = stay_end[key_new[mov_sort]] + np.arange(mov_sort.shape[0])
+        new_pos = counts.cumsum()[key_new] + np.arange(key_new.shape[0])
+        into = np.bincount(key_new, minlength=size)
+        counts += into
 
         # Ping-pong: write the merged permutation into the twin buffer
         # and swap it with ``order``.  The stayers keep their relative
         # order, so they fill every position no mover lands on; the two
         # writes cover the buffer without reading it.
-        stay = np.ones(A * m, dtype=bool)
+        masks = self._scratch_masks[:, : A * m]
+        masks.fill(True)
+        stay, free = masks
         stay[mov_pos] = False
-        free = np.ones(A * m, dtype=bool)
         free[new_pos] = False
         merged = self._order_buf[: A * m]
         merged[free] = self.order[stay]
-        merged[new_pos] = mov_abs[mov_sort]
+        merged[new_pos] = mov_abs
         self._order_buf = self.order
         self.order = merged
+        return into
 
     # ------------------------------------------------------------------
     def apply_population_events(
         self,
-        dep_abs: np.ndarray,
-        arr_abs: np.ndarray,
-        arr_place: np.ndarray,
-        arr_weight: np.ndarray,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        live: np.ndarray,
     ) -> np.ndarray:
         """Apply one round's departures and arrivals (dynamic mode).
 
-        ``dep_abs`` / ``arr_abs`` are absolute slots (``trial * m +
-        slot``), each ascending (trial-major) like the dense engine's
-        remove-then-add order.  Departures move to the parking column
-        with their weight zeroed; arrivals move from parking onto
-        ``arr_place`` with ``arr_weight`` set.  Destination keys of the
-        two groups are disjoint, so a single order-merge reproduces the
-        dense sequential remove-then-add exactly.  Returns the boolean
-        per-row mask of trials whose population changed.
+        ``slots`` are absolute slots (``trial * m + slot``), ``keys``
+        their destination keys (a departure's is its trial's parking
+        column), ``weights`` their new weights (``0.0`` for a
+        departure, so parked slots weigh nothing) and ``live`` their
+        new live flags, sorted by destination key and then slot:
+        within one destination stack ascending slot is schedule order,
+        so the merge stacks them as the dense engine does.  Departures
+        and arrivals have disjoint destination keys, so one merge
+        reproduces the dense sequential remove-then-add exactly.
+        Returns the boolean per-row mask of trials whose population
+        changed.
         """
         A, m = self.A, self.m
-        w_flat = self.w_task.ravel()
-        dep_trial = dep_abs // m
-        arr_trial = arr_abs // m
-        # weights change before the merge: parked slots must weigh 0.0
-        w_flat[dep_abs] = 0.0
-        w_flat[arr_abs] = arr_weight
-
+        self.w_task.ravel()[slots] = weights
+        self.live_mask.ravel()[slots] = live
+        self._wmax = None
         inv = self._scratch_inv[: A * m]
-        inv[self.order] = self._scratch_arange[: A * m]
-        mov_abs = np.concatenate([dep_abs, arr_abs])
-        mov_pos = inv[mov_abs]
-        key_new = np.concatenate(
-            [
-                dep_trial * self.stride + self.n,
-                arr_trial * self.stride + arr_place,
-            ]
-        )
-        dep_counts = np.bincount(dep_trial, minlength=A)
-        arr_counts = np.bincount(arr_trial, minlength=A)
-        arrival = np.concatenate(
-            [_segmented_arange(dep_counts), _segmented_arange(arr_counts)]
-        )
-        self._merge_movers(mov_abs, mov_pos, key_new, arrival)
+        # intp indices: NumPy converts narrower index arrays on every
+        # fancy index, which costs more than this explicit cast
+        inv[self.order.astype(np.intp)] = self._scratch_arange[: A * m]
+        into = self._merge_movers(slots, inv[slots], keys)
+        return into.reshape(A, self.stride).any(axis=1)
 
-        lm = self.live_mask.ravel()
-        lm[dep_abs] = False
-        lm[arr_abs] = True
-        self.m_live += arr_counts - dep_counts
-        # the dense engine re-reads state.wmax every step; population
-        # changes are the only thing that can alter it (parked weights
-        # are 0.0, so the slot-wide max equals the live max)
-        self.wmax = self.w_task.max(axis=1)
-        changed = np.zeros(A, dtype=bool)
-        changed[dep_trial] = True
-        changed[arr_trial] = True
-        return changed
+    def rethreshold(self, rows: list[int], thresholds: list) -> None:
+        """Install recomputed thresholds on ``rows``, then refresh the
+        capacity and bound planes in one assignment each, without
+        fancy indexing: a row whose threshold did not change
+        recomputes its own values bit for bit."""
+        for row, t in zip(rows, thresholds):
+            self.thresholds[row] = t
+            self.t_res[row] = t
+        if self.speeds is not None:
+            # the stacked s * T of __init__; without speeds, cap
+            # aliases t_res and is already up to date
+            self.cap = self.speeds * self.t_res  # lint: allow-capacity
+        np.add(self.cap, self.atol[:, None], out=self.bound[:, : self.n])
 
     # ------------------------------------------------------------------
     def compact(self, keep: np.ndarray) -> None:
@@ -649,7 +780,6 @@ class BatchState:
         )
         if self.dynamic:
             self.live_mask = self.live_mask[rows]
-            self.m_live = self.m_live[rows]
         self.t_res = self.t_res[rows]
         if self.speeds is None:
             self.cap = self.t_res
@@ -659,7 +789,8 @@ class BatchState:
         self.speeds_rows = [self.speeds_rows[r] for r in rows]
         self.atol = self.atol[rows]
         self.bound = self.bound[rows]
-        self.wmax = self.wmax[rows]
+        if self._wmax is not None:
+            self._wmax = self._wmax[rows]
         self.thresholds = [self.thresholds[r] for r in rows]
         self.A = k
         size = k * self.m
@@ -669,6 +800,36 @@ class BatchState:
         self._order_buf = self._order_buf[:size]
         if self.dynamic:
             self._scratch_inv = self._scratch_inv[:size]
+
+
+class _Columns:
+    """Per-round series of every batch row, one column per round.
+
+    ``S`` series share one ``(S, rows, capacity)`` buffer: each round
+    writes one column per series, the capacity doubles when it runs
+    out, and a retiring row's series are sliced out of it.
+    """
+
+    def __init__(self, S: int, rows: int) -> None:
+        self.data = np.empty((S, rows, 64))
+
+    def put(self, j: int, values: list[np.ndarray]) -> None:
+        """Write round ``j``'s values (one array over the rows per
+        series)."""
+        data = self.data
+        if j == data.shape[2]:
+            grown = np.empty(data.shape[:2] + (2 * j,))
+            grown[:, :, :j] = data
+            self.data = data = grown
+        for s, v in enumerate(values):
+            data[s, :, j] = v
+
+    def row(self, r: int, rounds: int) -> list[np.ndarray]:
+        """Row ``r``'s series over its first ``rounds`` rounds."""
+        return list(self.data[:, r, :rounds].copy())
+
+    def compact(self, keep: np.ndarray) -> None:
+        self.data = self.data[:, keep]
 
 
 # ----------------------------------------------------------------------
@@ -854,79 +1015,84 @@ class BatchedBackend(SimulationBackend):
         whose population changed, steps the shared kernel, records,
         then retires the trials that are balanced and past their last
         event.  Every per-trial operation matches the dense loop, so
-        results are bit-for-bit identical.  A static chunk has no
-        events: it never touches the population machinery and records
-        no online time series.
+        results are bit-for-bit identical.
+
+        What the schedules alone decide is compiled once per chunk
+        (:class:`_ChunkEvents`): each round's events are one slice,
+        and the live-count and ``W(t)`` series are looked up when a
+        trial retires.  What must happen every round is a handful of
+        whole-batch operations: the per-row tallies are arrays over the
+        rows, the makespan and violation series (and the traces, when
+        recorded) are one column write each (:class:`_Columns`), and
+        the retire test waits for the earliest live trial's last
+        event.  A static chunk has no events: it never touches the
+        population machinery and records no online time series.
         """
         B = len(states)
         protocol = protocols[0]  # signature-checked interchangeable
         # ... but names may differ cosmetically (e.g. per-trial graph
         # names), so report each trial under its own.
         names = [p.name for p in protocols]
-        # all or none (_vectorizable falls back on mixed chunks)
-        scheds = [s.dynamics for s in states if s.dynamics is not None]
-        # the dense loop seeds its running W(t) from state.weights.sum()
-        live_weight = np.array([float(s.weights.sum()) for s in states])
         batch = BatchState(states)
         batch.record_stats = record_traces
-        n, m = batch.n, batch.m
-        del states  # the stacked arrays are authoritative from here on
-        events = _ChunkEvents(scheds, m, batch.m0) if scheds else None
-        last_event = np.array(
-            [sc.last_event_round for sc in scheds] or [0] * B,
-            dtype=np.int64,
-        )
-        horizon = int(last_event.max())
-
-        total_movers = np.zeros(B, dtype=np.int64)
-        total_weight = np.zeros(B)
-        rounds = np.zeros(B, dtype=np.int64)
-        traces = (
-            [[_TraceBuffer() for _ in range(4)] for _ in range(B)]
-            if record_traces
+        n = batch.n
+        # all or none (_vectorizable falls back on mixed chunks)
+        events = (
+            _ChunkEvents(states, batch.m, batch.stride)
+            if batch.dynamic
             else None
         )
-        series = (
-            [[_TraceBuffer() for _ in range(4)] for _ in range(B)]
-            if scheds
+        del states  # the stacked arrays are authoritative from here on
+        policies = events.policies if events is not None else []
+        rethreshold = any(p is not None for p in policies)
+        online = 2 if events is not None else 0  # makespan, violations
+        cols = (
+            _Columns(online + 4 * record_traces, B)
+            if online or record_traces
             else None
         )
         results: list[RunResult | None] = [None] * B
 
-        live = np.arange(B)  # the trial of each batch row
-        shift = np.zeros(B, dtype=np.int64)  # trial slot - row slot
+        # per batch row, compacted as rows retire
+        live = np.arange(B)  # the trial of each row
         live_rngs = list(rngs)
+        last_event = (
+            events.last.copy()
+            if events is not None
+            else np.zeros(B, dtype=np.int64)
+        )
+        movers = np.zeros(B, dtype=np.int64)
+        moved_weight = np.zeros(B)
         loads = batch.fresh_loads()
         # One comparison per round decides balance (and, for the time
         # series, counts violations), like the dense loop: no load is
         # NaN, and the parking column's infinite bound never trips.
         unbalanced = (loads > batch.bound).any(axis=1)
         executed = 0
+        check_at = int(last_event.min())  # no row can retire before it
 
         def retire(done: np.ndarray) -> None:
             """Report the trials of the ``done`` rows; drop the rows."""
-            nonlocal live, live_rngs, loads, unbalanced
+            nonlocal live, live_rngs, last_event, movers, moved_weight
+            nonlocal loads, unbalanced, check_at
             if not done.any():
                 return
-            for row in np.flatnonzero(done):
+            for row in np.flatnonzero(done).tolist():
                 trial = int(live[row])
-                tr = (
-                    [b.array() for b in traces[trial]]
-                    if traces
-                    else [None] * 4
-                )
+                cut = cols.row(row, executed) if cols is not None else []
+                tr = cut[online:] or [None] * 4
                 se = (
-                    [b.array() for b in series[trial]]
-                    if series
+                    [*events.series(trial, executed), *cut[:online]]
+                    if events is not None
                     else [None] * 4
                 )
                 results[trial] = RunResult(
                     balanced=not unbalanced[row],
-                    rounds=int(rounds[trial]),
+                    rounds=executed,
                     final_loads=loads[row, :n].copy(),
                     threshold=batch.thresholds[row],
-                    total_migrations=int(total_movers[trial]),
-                    total_migrated_weight=float(total_weight[trial]),
+                    total_migrations=int(movers[row]),
+                    total_migrated_weight=float(moved_weight[row]),
                     potential_trace=tr[0],
                     overloaded_trace=tr[1],
                     movers_trace=tr[2],
@@ -940,83 +1106,71 @@ class BatchedBackend(SimulationBackend):
                 )
             keep = ~done
             batch.compact(keep)
-            live, loads = live[keep], loads[keep]
-            unbalanced = unbalanced[keep]
+            if events is not None:
+                events.rebase(keep, executed)
+            if cols is not None:
+                cols.compact(keep)
+            live, loads, unbalanced = live[keep], loads[keep], unbalanced[keep]
+            last_event = last_event[keep]
+            movers, moved_weight = movers[keep], moved_weight[keep]
             live_rngs = [r for r, k in zip(live_rngs, keep) if k]
-            shift[live] = (live - np.arange(live.size)) * m
+            check_at = int(last_event.min()) if live.size else 0
 
         retire(~unbalanced & (last_event <= 0))
         while live.size and executed < max_rounds:
-            t = executed + 1
-            if events is not None and t <= horizon:
+            due = events.due(executed + 1) if events is not None else None
+            if due is not None:
                 # departures then arrivals, like the dense loop
-                dep, arr, arr_place, arr_weight = events.due(t)
-                dep = dep - shift[dep // m]
-                dep = dep[batch.live_mask.ravel()[dep]]
-                arr = arr - shift[arr // m]
-                if dep.size:
-                    trials, sums = _run_sums(
-                        live[dep // m], batch.w_task.ravel()[dep]
-                    )
-                    live_weight[trials] -= sums
-                if arr.size:
-                    trials, sums = _run_sums(live[arr // m], arr_weight)
-                    live_weight[trials] += sums
-                if dep.size or arr.size:
-                    changed = batch.apply_population_events(
-                        dep, arr, arr_place, arr_weight
-                    )
-                    for row in np.flatnonzero(changed):
-                        sc = scheds[int(live[row])]
-                        if sc.policy is None or batch.m_live[row] == 0:
+                changed = batch.apply_population_events(*due)
+                if rethreshold:
+                    rows: list[int] = []
+                    thresholds: list = []
+                    for row in changed.nonzero()[0].tolist():
+                        policy = policies[live[row]]
+                        # the live weights in task order; like the dense
+                        # verbs, an empty population keeps its threshold
+                        w = batch.w_task[row].compress(batch.live_mask[row])
+                        if policy is None or not w.shape[0]:
                             continue
-                        w_row = batch.w_task[row][batch.live_mask[row]]
-                        t_new = sc.policy.compute_for(
-                            w_row, n, speeds=batch.speeds_rows[row]
-                        )
-                        batch.thresholds[row] = t_new
-                        batch.t_res[row] = np.asarray(t_new, dtype=np.float64)
-                        if batch.speeds is not None:
-                            # rethreshold refresh of the stacked cap
-                            # plane (same s * T operand order as
-                            # BatchState init)
-                            batch.cap[row] = (
-                                batch.speeds[row]  # lint: allow-capacity
-                                * batch.t_res[row]
+                        rows.append(row)
+                        thresholds.append(
+                            policy.compute_for(
+                                w, n, speeds=batch.speeds_rows[row]
                             )
-                        # speeds None: cap aliases t_res, already updated
-                        batch.bound[row, :n] = batch.cap[row] + batch.atol[row]
+                        )
+                    if rows:
+                        batch.rethreshold(rows, thresholds)
 
             stats = protocol.step_batch(batch, live_rngs)
             executed += 1
-            rounds[live] = executed
-            total_movers[live] += stats.movers
-            total_weight[live] += stats.moved_weight
+            movers += stats.movers
+            moved_weight += stats.moved_weight
             loads = stats.loads_after
             exceeded = loads > batch.bound
-            if series is None:
-                unbalanced = exceeded.any(axis=1)
+            if online:
+                violations = exceeded.sum(axis=1)
+                unbalanced = violations > 0
             else:
-                viol = exceeded.sum(axis=1)
-                unbalanced = viol > 0
-            if traces is not None or series is not None:
-                for row, trial in enumerate(live):
-                    if traces is not None:
-                        bufs = traces[trial]
-                        bufs[0].append(stats.potential_before[row])
-                        bufs[1].append(stats.overloaded_before[row])
-                        bufs[2].append(stats.movers[row])
-                        bufs[3].append(stats.max_load_before[row])
-                    if series is not None:
-                        bufs = series[trial]
-                        bufs[0].append(int(batch.m_live[row]))
-                        bufs[1].append(live_weight[trial])
-                        norm = loads[row, :n]
-                        if batch.speeds is not None:
-                            norm = norm / batch.speeds[row]
-                        bufs[2].append(float(norm.max()) if n else 0.0)
-                        bufs[3].append(int(viol[row]))
-            retire(~unbalanced & (last_event[live] <= executed))
+                unbalanced = exceeded.any(axis=1)
+            if cols is not None:
+                record: list[np.ndarray] = []
+                if online:
+                    # makespan: the max is exact, so dividing first and
+                    # reducing the rows is bit-equal to the dense row
+                    span = loads[:, :n]
+                    if batch.speeds is not None:
+                        span = span / batch.speeds
+                    record += [span.max(axis=1), violations]
+                if record_traces:
+                    record += [
+                        stats.potential_before,
+                        stats.overloaded_before,
+                        stats.movers,
+                        stats.max_load_before,
+                    ]
+                cols.put(executed - 1, record)
+            if executed >= check_at:
+                retire(~unbalanced & (last_event <= executed))
 
         # round budget exhausted: censored, like the dense loop
         retire(np.ones(live.size, dtype=bool))
@@ -1182,6 +1336,7 @@ def _kernel_round(
     rngs: list[np.random.Generator],
     rows: np.ndarray | None,
     select: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]],
+    loads: np.ndarray | None = None,
 ) -> BatchStepStats:
     """The skeleton of every vectorised round; ``select`` picks the
     movers.
@@ -1200,9 +1355,12 @@ def _kernel_round(
     ``rows`` (boolean, one per batch row) restricts the round to a
     subset: the other rows see no overload, so they draw nothing and
     keep their placement, and their statistics are the idle ones.
+    ``loads``, when given, is the batch's current load matrix, equal to
+    :meth:`BatchState.fresh_loads` on ``rows`` bit for bit.
     """
     A, n, m = batch.A, batch.n, batch.m
-    loads = batch.fresh_loads()
+    if loads is None:
+        loads = batch.fresh_loads()
     overloaded = loads > batch.bound
     if rows is not None:
         overloaded &= rows[:, None]
@@ -1319,7 +1477,10 @@ def hybrid_step_batch(
     kernel steps the coin rows and the user kernel the rest, both in
     place on the whole batch under a row mask (trials are independent,
     and a masked-out row sees no overload and draws nothing), and each
-    row keeps the statistics of the kernel that stepped it.  Alternate
+    row keeps the statistics of the kernel that stepped it.  The user
+    kernel starts from the resource kernel's ``loads_after`` instead of
+    recomputing the loads: its rows had no movers, so their entries are
+    the fresh loads bit for bit (``x - 0.0 + 0.0 == x``).  Alternate
     mode is lockstep — all live trials have executed the same number of
     rounds, so one shared parity gives every row the same round type
     and no coin is drawn (the dense path draws none either).
@@ -1335,8 +1496,16 @@ def hybrid_step_batch(
     if not coin.any():
         return user_step_batch(proto.user_protocol, batch, rngs)
     stats = resource_step_batch(proto.resource_protocol, batch, rngs, coin)
-    user = user_step_batch(proto.user_protocol, batch, rngs, ~coin)
-    # every kernel returns freshly allocated arrays, so the user rows
+    user = _kernel_round(
+        proto.user_protocol,
+        batch,
+        rngs,
+        ~coin,
+        _user_movers,
+        stats.loads_after,
+    )
+    # every kernel returns freshly allocated arrays (the user round's
+    # loads_after may be the resource round's own), so the user rows
     # can be written into the resource round's statistics in place
     for field in fields(BatchStepStats):
         merged = getattr(stats, field.name)

@@ -65,8 +65,17 @@ __all__ = [
 
 #: Departure-round sentinel for tasks that never depart.  Large enough
 #: that ``arrive_round + INFINITE_LIFETIME`` cannot overflow int64 for
-#: any realistic horizon.
+#: any realistic horizon.  Lifetime draws are clamped to it, so a
+#: lifetime this long or longer means "never departs".
 INFINITE_LIFETIME = np.int64(2**62)
+
+
+def _check_rounds(rounds: float, what: str) -> None:
+    """Reject a round count that is not a whole number >= 0.  NaN and
+    fractions pass ``rounds < 0`` and would fail only inside
+    ``compile``, mid-sweep."""
+    if not (0.0 <= float(rounds) < math.inf and float(rounds).is_integer()):
+        raise ValueError(f"{what} must be a whole number >= 0, not {rounds}")
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +121,8 @@ class DeterministicLifetimes(LifetimeDistribution):
             )
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(k, self.rounds, dtype=np.int64)
+        life = min(int(self.rounds), int(INFINITE_LIFETIME))
+        return np.full(k, life, dtype=np.int64)
 
     def describe(self) -> str:
         return f"det({self.rounds})"
@@ -134,7 +144,8 @@ class ExponentialLifetimes(LifetimeDistribution):
 
     def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         draws = np.ceil(rng.exponential(self.mean, k))
-        return np.maximum(draws, 1.0).astype(np.int64)
+        # clamp before the cast: a larger float would wrap to INT64_MIN
+        return np.clip(draws, 1.0, float(INFINITE_LIFETIME)).astype(np.int64)
 
     def describe(self) -> str:
         return f"exp({self.mean:g})"
@@ -332,12 +343,12 @@ class PoissonDynamics(DynamicsSpec):
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        _check_rounds(self.horizon, "horizon")
 
     def compile(self, n, m0, rng, default_weights, policy):
         initial_depart = self.lifetimes.sample(m0, rng)
-        counts = rng.poisson(self.rate, self.horizon).astype(np.int64)
+        horizon = int(self.horizon)  # a whole number, maybe a float
+        counts = rng.poisson(self.rate, horizon).astype(np.int64)
         return _compile_counts(
             counts,
             n,
@@ -347,7 +358,7 @@ class PoissonDynamics(DynamicsSpec):
             self.lifetimes,
             self.rethreshold,
             policy,
-            self.horizon,
+            horizon,
             initial_depart,
         )
 
@@ -376,8 +387,7 @@ class PhasedDynamics(DynamicsSpec):
         if not self.phases:
             raise ValueError("need at least one (rounds, rate) phase")
         for rounds, rate in self.phases:
-            if rounds < 0:
-                raise ValueError("phase rounds must be >= 0")
+            _check_rounds(rounds, "phase rounds")
             _check_rate(rate)
 
     @property
@@ -388,7 +398,7 @@ class PhasedDynamics(DynamicsSpec):
         initial_depart = self.lifetimes.sample(m0, rng)
         counts = np.concatenate(
             [
-                rng.poisson(rate, rounds).astype(np.int64)
+                rng.poisson(rate, int(rounds)).astype(np.int64)
                 for rounds, rate in self.phases
             ]
         )

@@ -159,6 +159,44 @@ def test_arrival_rates_must_be_finite_and_non_negative(spec, bad):
     spec(0.0)  # a drain phase stays legal
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1, 2.5])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda rounds: PoissonDynamics(rate=1.0, horizon=rounds),
+        lambda rounds: PhasedDynamics(phases=((5, 1.0), (rounds, 2.0))),
+    ],
+    ids=["poisson-horizon", "phase-rounds"],
+)
+def test_round_counts_must_be_whole_and_non_negative(spec, bad):
+    with pytest.raises(ValueError, match="whole number >= 0"):
+        spec(bad)
+    spec(0)  # an empty horizon or phase stays legal
+    # a whole-valued float compiles like the int
+    rng = np.random.default_rng
+    weights = UniformRangeWeights(1.0, 2.0)
+    as_float = spec(3.0).compile(4, 5, rng(1), weights, None)
+    as_int = spec(3).compile(4, 5, rng(1), weights, None)
+    np.testing.assert_array_equal(as_float.arrive_round, as_int.arrive_round)
+
+
+@pytest.mark.parametrize(
+    "lifetimes",
+    [ExponentialLifetimes(1e19), DeterministicLifetimes(1e19)],
+    ids=["exponential", "deterministic"],
+)
+def test_huge_lifetimes_never_depart(lifetimes, recwarn):
+    """A lifetime past the int64 range clamps to ``INFINITE_LIFETIME``
+    (never departs) instead of wrapping to a negative round."""
+    sched = PoissonDynamics(rate=3.0, horizon=20, lifetimes=lifetimes)
+    compiled = sched.compile(
+        4, 10, np.random.default_rng(5), UniformRangeWeights(1.0, 2.0), None
+    )
+    assert (compiled.arrive_depart > compiled.arrive_round).all()
+    assert (compiled.initial_depart >= 1).all()
+    assert not recwarn.list  # no "invalid value encountered in cast"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_trace_with_non_finite_weight_raises_at_load_time(tmp_path, token):
     path = tmp_path / "trace.jsonl"

@@ -18,7 +18,10 @@ equivalence gates, before tier-1):
    randomness is pre-sampled at setup time, so serial, process and
    batched runs of the same dynamic setup must agree bit for bit —
    outcomes, traces and online time series included — for every
-   protocol family.
+   protocol family, with traces recorded or not (studies run without),
+   and with heterogeneous speeds under rethresholding (the makespan
+   series divides by the speeds, and each rethreshold refreshes the
+   capacity plane).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.workloads import (
     InfiniteLifetimes,
     PoissonDynamics,
     TraceDynamics,
+    TwoClassSpeeds,
     TwoPointWeights,
     UniformRangeWeights,
 )
@@ -259,26 +263,60 @@ DYNAMIC_CASES = {
         "trials": 4,
         "seed": 29,
     },
+    "user-speeds": {
+        "setup": lambda: UserControlledSetup(
+            n=10,
+            m=20,
+            distribution=UniformRangeWeights(1.0, 6.0),
+            alpha=0.5,
+            speeds=TwoClassSpeeds(slow=1.0, fast=2.5, fast_count=3),
+            dynamics=PoissonDynamics(
+                rate=2.0,
+                horizon=30,
+                lifetimes=ExponentialLifetimes(15.0),
+            ),
+        ),
+        "trials": 4,
+        "seed": 41,
+    },
+    "resource-speeds": {
+        "setup": lambda: ResourceControlledSetup(
+            graph=torus_graph(3, 4),
+            m=24,
+            distribution=UniformRangeWeights(1.0, 5.0),
+            speeds=TwoClassSpeeds(slow=1.0, fast=3.0, fast_count=2),
+            dynamics=PoissonDynamics(
+                rate=2.0,
+                horizon=30,
+                lifetimes=ExponentialLifetimes(15.0),
+            ),
+        ),
+        "trials": 4,
+        "seed": 43,
+    },
 }
 
 
+@pytest.mark.parametrize(
+    "record_traces", (True, False), ids=("traces", "no-traces")
+)
 @pytest.mark.parametrize("backend", ("process", "batched"))
 @pytest.mark.parametrize("family", sorted(DYNAMIC_CASES))
-def test_dynamic_runs_backend_independent(family, backend):
+def test_dynamic_runs_backend_independent(family, backend, record_traces):
     case = DYNAMIC_CASES[family]
     serial = run_trials(
         case["setup"](),
         case["trials"],
         seed=case["seed"],
         max_rounds=2000,
-        record_traces=True,
+        record_traces=record_traces,
     )
     other = run_trials(
         case["setup"](),
         case["trials"],
         seed=case["seed"],
         max_rounds=2000,
-        record_traces=True,
+        record_traces=record_traces,
         backend=backend,
     )
     assert runs_equal(serial, other)
