@@ -1353,8 +1353,9 @@ def _kernel_round(
     merges the moves into the stack order.
 
     ``rows`` (boolean, one per batch row) restricts the round to a
-    subset: the other rows see no overload, so they draw nothing and
-    keep their placement, and their statistics are the idle ones.
+    subset, as the hybrid's split rounds do: the other rows see no
+    overload, so they draw nothing and keep their placement, and their
+    statistics are the idle ones.
     ``loads``, when given, is the batch's current load matrix, equal to
     :meth:`BatchState.fresh_loads` on ``rows`` bit for bit.
     """
@@ -1430,10 +1431,9 @@ def user_step_batch(
     proto: UserControlledProtocol,
     batch: BatchState,
     rngs: list[np.random.Generator],
-    rows: np.ndarray | None = None,
 ) -> BatchStepStats:
-    """One vectorised user-controlled round for every trial in ``batch``
-    (or for the ``rows`` subset, see :func:`_kernel_round`).
+    """One vectorised user-controlled round for every trial in
+    ``batch``.
 
     Mirrors ``UserControlledProtocol.step`` per trial: the migration
     probability is evaluated on the overloaded resources' segments
@@ -1441,17 +1441,16 @@ def user_step_batch(
     arrival permutation come from each trial's own generator in the
     dense order.
     """
-    return _kernel_round(proto, batch, rngs, rows, _user_movers)
+    return _kernel_round(proto, batch, rngs, None, _user_movers)
 
 
 def resource_step_batch(
     proto: ResourceControlledProtocol,
     batch: BatchState,
     rngs: list[np.random.Generator],
-    rows: np.ndarray | None = None,
 ) -> BatchStepStats:
     """One vectorised resource-controlled round for every trial in
-    ``batch`` (or for the ``rows`` subset, see :func:`_kernel_round`).
+    ``batch``.
 
     Algorithm 5.1 ejects every cutting/above task of every overloaded
     resource, so the below mask is evaluated on those resources'
@@ -1459,7 +1458,7 @@ def resource_step_batch(
     generator in the dense order (stack order, one walk step, one
     arrival permutation).
     """
-    return _kernel_round(proto, batch, rngs, rows, _resource_movers)
+    return _kernel_round(proto, batch, rngs, None, _resource_movers)
 
 
 def hybrid_step_batch(
@@ -1495,7 +1494,9 @@ def hybrid_step_batch(
         return resource_step_batch(proto.resource_protocol, batch, rngs)
     if not coin.any():
         return user_step_batch(proto.user_protocol, batch, rngs)
-    stats = resource_step_batch(proto.resource_protocol, batch, rngs, coin)
+    stats = _kernel_round(
+        proto.resource_protocol, batch, rngs, coin, _resource_movers
+    )
     user = _kernel_round(
         proto.user_protocol,
         batch,
